@@ -9,9 +9,10 @@ leads and a phonon environment:
 * ``assemble_arcme``  -- same augmented space, but strictly additive lead
   dissipators built on the bare electronic problem.
 
-On top of any of the three generators: steady states with solve
-certificates, the first two counting cumulants at either lead, energy flows,
-engine efficiency and the stopping voltage.
+``build_generator`` builds any of the three by method name.  On top of any
+of them: steady states with solve certificates, the first two counting
+cumulants at either lead, energy flows, engine efficiency and the stopping
+voltage.
 """
 
 __version__ = "0.1.0"
@@ -22,6 +23,7 @@ from .model import ElectronicBasis, ModelParams, SpectralDensity
 from .model import bose, drude_lorentz, fermi, regime_params
 from .rc import AugmentedSystem, LadderCertificate, RcParams
 from .rc import assemble_arcme, assemble_rcme, build_augmented_hamiltonian
+from .rc import build_generator
 from .rc import converge_current, converge_in_levels, rc_map
 from .superop import ConvergenceFailure, Liouvillian, NonUniqueSteadyState
 from .superop import Space, SteadyState, TaggedTerm
@@ -37,7 +39,7 @@ __all__ = [
     "NonUniqueSteadyState", "NotAnEngine", "OracleError", "RcParams",
     "RedfieldHalfTransform", "Space", "SpectralDensity", "SteadyState",
     "TaggedTerm", "TransportReport", "assemble_arcme", "assemble_rcme",
-    "assemble_wcme", "bose", "build_augmented_hamiltonian",
+    "assemble_wcme", "bose", "build_augmented_hamiltonian", "build_generator",
     "carnot_efficiency", "converge_current", "converge_in_levels",
     "counting_field_oracle", "cumulants", "drude_lorentz", "efficiency",
     "energy_currents", "fermi", "mean_current", "rc_map", "regime_params",

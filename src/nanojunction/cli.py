@@ -32,13 +32,12 @@ import scipy
 
 from . import __version__
 from .model import ModelParams, regime_params
-from .rc import converge_current
+from .rc import METHODS, converge_current
 from .thermo import TransportReport, transport_report
 
 COLUMNS = ("method", "regime", "lambda", "V", "beta_L", "beta_R", "beta_ph", "M",
            "c1", "c2", "upsilon", "P", "IE_L", "IE_R", "IE_ph", "Q_in", "eta",
            "eta_carnot", "converged", "residual")
-METHODS = ("wcme", "rcme", "arcme")
 SWEPT = ("lambda", "V", "beta_hot", "M")
 MODEL_FIELDS = tuple(f.name for f in fields(ModelParams))
 
@@ -270,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Steady-state transport sweeps for the two-site junction.")
     ap.add_argument("config", nargs="?", default=None,
                     help="INI file with [sweep], [rc], [model] sections")
-    ap.add_argument("--method", help="comma-separated subset of wcme,rcme,arcme")
+    ap.add_argument("--method", help=f"comma-separated subset of {','.join(METHODS)}")
     ap.add_argument("--regime", type=int, help="1 (hot left lead) or 2 (hot phonons)")
     ap.add_argument("--sweep", dest="swept", choices=SWEPT, help="swept variable")
     ap.add_argument("--from", dest="from_", type=float, help="first grid value")

@@ -12,7 +12,7 @@ and the chemical-potential gauge is mu_L = 0, mu_R = V.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import expit
@@ -25,11 +25,11 @@ class ModelParams:
     """Physical parameters of the junction and its environments.
 
     Energies and rates are dimensionless (units of the reference inverse
-    temperature).  ``Delta`` and ``V`` are derived accessors, not fields.
+    temperature).  ``eps_R`` and ``V`` are derived accessors, not fields.
     """
 
     eps_L: float = 1.0
-    Delta_: float = 2.0          # eps_R - eps_L
+    Delta: float = 2.0           # eps_R - eps_L
     U: float = 1e3
     mu_L: float = 0.0
     mu_R: float = 0.1            # = V in the mu_L = 0 gauge
@@ -56,12 +56,7 @@ class ModelParams:
 
     @property
     def eps_R(self) -> float:
-        return self.eps_L + self.Delta_
-
-    @property
-    def Delta(self) -> float:
-        """Inter-site detuning eps_R - eps_L."""
-        return self.Delta_
+        return self.eps_L + self.Delta
 
     @property
     def V(self) -> float:
@@ -120,70 +115,39 @@ class ElectronicBasis:
         return np.array([n[s] for s in self.labels])
 
 
-@dataclass
-class Operator:
-    """Dense complex matrix on a labeled Hilbert space."""
-
-    matrix: np.ndarray
-    basis: str
-    hermitian: bool = False
-
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=complex)
-        if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
-            raise ValueError("operator matrix must be square")
-        if self.hermitian:
-            defect = np.max(np.abs(self.matrix - self.matrix.conj().T))
-            if defect > 1e-12:
-                raise ValueError(f"operator declared Hermitian has defect {defect:.2e}")
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def dag(self) -> "Operator":
-        return Operator(self.matrix.conj().T, self.basis)
-
-    def __array__(self, dtype=None, copy=None):
-        return self.matrix if dtype is None else self.matrix.astype(dtype)
-
-
 def _ket_bra(b: ElectronicBasis, i: str, j: str) -> np.ndarray:
     m = np.zeros((b.dim, b.dim), dtype=complex)
     m[b.index(i), b.index(j)] = 1.0
     return m
 
 
-def build_system_hamiltonian(p: ModelParams, b: ElectronicBasis) -> Operator:
+def build_system_hamiltonian(p: ModelParams, b: ElectronicBasis) -> np.ndarray:
     """Electronic Hamiltonian diag(0, eps_L, eps_R[, eps_L+eps_R+U])."""
     energies = [0.0, p.eps_L, p.eps_R]
     if not b.project_out_double:
         energies.append(p.eps_L + p.eps_R + p.U)
-    return Operator(np.diag(np.array(energies, dtype=complex)), repr(b), hermitian=True)
+    return np.diag(np.array(energies, dtype=complex))
 
 
 def build_lead_coupling_ops(b: ElectronicBasis):
-    """Lead coupling operators (A1, A2, A3, A4) after Jordan-Wigner.
+    """Lead coupling operators (A1, A3) after Jordan-Wigner.
 
     A1 = -|G><L| + |R><D| and A3 = |G><R| + |L><D| remove an electron from
-    the system (into the left/right lead respectively); A2 = A1^dag and
-    A4 = A3^dag add one.  The minus sign on the G<->L transition is the
-    Jordan-Wigner string sign and is load-bearing for interference terms.
+    the system (into the left/right lead respectively); their adjoints add
+    one.  The minus sign on the G<->L transition is the Jordan-Wigner string
+    sign and is load-bearing for interference terms.
     """
     A1 = -_ket_bra(b, "G", "L")
     A3 = _ket_bra(b, "G", "R")
     if not b.project_out_double:
         A1 = A1 + _ket_bra(b, "R", "D")
         A3 = A3 + _ket_bra(b, "L", "D")
-    tag = repr(b)
-    A1 = Operator(A1, tag)
-    A3 = Operator(A3, tag)
-    return A1, A1.dag(), A3, A3.dag()
+    return A1, A3
 
 
-def build_phonon_coupling_op(b: ElectronicBasis) -> Operator:
+def build_phonon_coupling_op(b: ElectronicBasis) -> np.ndarray:
     """Inter-site coherence operator s = |L><R| + |R><L| (phonon coupling)."""
-    return Operator(_ket_bra(b, "L", "R") + _ket_bra(b, "R", "L"), repr(b), hermitian=True)
+    return _ket_bra(b, "L", "R") + _ket_bra(b, "R", "L")
 
 
 @dataclass(frozen=True)
@@ -233,7 +197,3 @@ def bose(beta: float, omega):
         raise ValueError("bose occupation diverges at omega = 0")
     return 1.0 / np.expm1(beta * w)
 
-
-def occupations(beta: float, mu: float, omega: float):
-    """Return (fermi, bose) occupations at a transition energy."""
-    return float(fermi(beta, mu, omega)), float(bose(beta, omega))

@@ -12,9 +12,11 @@ generators are built on the augmented space:
   onto the augmented space (strictly additive rates), with the same coherent
   part and residual-bath dissipator as the RCME.
 
-Mode-space truncation is handled by ``converge_in_levels``, which walks the
-Fock cutoff upward and certifies (or honestly refuses to certify) relative
-convergence of an observable.
+``build_generator`` is the one registry of methods (``METHODS``): it builds
+the weak-coupling generator or either of these by name.  Mode-space
+truncation is handled by ``converge_in_levels``, which walks the Fock cutoff
+upward and certifies (or honestly refuses to certify) relative convergence
+of an observable.
 """
 from __future__ import annotations
 
@@ -22,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .fcs import mean_current
 from .model import (
     ElectronicBasis,
     ModelParams,
@@ -29,13 +32,19 @@ from .model import (
     build_phonon_coupling_op,
     build_system_hamiltonian,
 )
-from .superop import ConvergenceFailure, Liouvillian, Space, TaggedTerm, coherent_terms
+from .superop import ConvergenceFailure, Liouvillian, Space, TaggedTerm
+from .superop import coherent_terms, steady_state
 from .wcme import (
     RedfieldHalfTransform,
+    assemble_wcme,
     bose_half,
     bosonic_dissipator_terms,
     build_wcme_lead_dissipator,
 )
+
+# The registered master equations.  Every method but "wcme" puts the
+# reaction coordinate into the system and needs a Fock cutoff M.
+METHODS = ("wcme", "rcme", "arcme")
 
 # Largest restricted superoperator dimension the dense solve path may
 # allocate.  The peak holds the generator, its bordered copy under in-place
@@ -143,8 +152,8 @@ def build_augmented_hamiltonian(p: ModelParams, M: int,
     if basis is None:
         basis = ElectronicBasis(project_out_double=True)
     rc = rc_map(p, M)
-    Hel = build_system_hamiltonian(p, basis).matrix
-    s = build_phonon_coupling_op(basis).matrix
+    Hel = build_system_hamiltonian(p, basis)
+    s = build_phonon_coupling_op(basis)
     a = ladder_op(M)
     x = a + a.conj().T
     eye_f = np.eye(M, dtype=complex)
@@ -173,39 +182,38 @@ class RateOperators:
 
 def build_rate_operators(aug: AugmentedSystem, p: ModelParams) -> RateOperators:
     """Lift and rotate the coupling operators; filter the residual bath."""
-    A1, _, A3, _ = build_lead_coupling_ops(aug.basis)
+    A1, A3 = build_lead_coupling_ops(aug.basis)
     a = ladder_op(aug.rc.M)
     B = aug.rotate(np.kron(np.eye(aug.basis.dim, dtype=complex), a + a.conj().T))
     half = bose_half(B, aug.evals, aug.rc.residual_density,
                      aug.rc.residual_slope0, p.beta_ph)
-    return RateOperators(A_left=aug.lift(A1.matrix), A_right=aug.lift(A3.matrix),
+    return RateOperators(A_left=aug.lift(A1), A_right=aug.lift(A3),
                          position=B, residual_half=half)
 
 
-def _restricted_space(aug: AugmentedSystem) -> Space:
+def _augmented_parts(p: ModelParams, M: int, basis: ElectronicBasis | None):
+    """What both RC generators share: H', its guarded space, rate operators."""
+    aug = build_augmented_hamiltonian(p, M, basis)
     space = Space(aug.eigen_numbers)
     if space.n > MAX_RESTRICTED_DIM:
         raise ConvergenceFailure(
             f"restricted dimension {space.n} exceeds the dense-solver guard "
             f"({MAX_RESTRICTED_DIM}); lower the Fock truncation M={aug.rc.M}")
-    return space
+    ops = build_rate_operators(aug, p)
+    return aug, space, ops, np.diag(aug.evals).astype(complex)
 
 
 def assemble_rcme(p: ModelParams, M: int,
                   basis: ElectronicBasis | None = None) -> Liouvillian:
     """Non-additive generator: leads filtered at augmented frequencies."""
-    aug = build_augmented_hamiltonian(p, M, basis)
-    space = _restricted_space(aug)
-    ops = build_rate_operators(aug, p)
-    Hd = np.diag(aug.evals).astype(complex)
+    aug, space, ops, Hd = _augmented_parts(p, M, basis)
     terms = coherent_terms(Hd)
     terms += build_wcme_lead_dissipator(ops.A_left, aug.evals, p.Gamma_L,
                                         p.beta_L, p.mu_L, "left")
     terms += build_wcme_lead_dissipator(ops.A_right, aug.evals, p.Gamma_R,
                                         p.beta_R, p.mu_R, "right")
     terms += bosonic_dissipator_terms(ops.position, ops.residual_half)
-    return Liouvillian(space=space, terms=terms, basis="augmented eigenbasis",
-                       method="rcme", hamiltonian=Hd)
+    return Liouvillian(space=space, terms=terms, method="rcme", energy_op=Hd)
 
 
 def assemble_arcme(p: ModelParams, M: int,
@@ -216,26 +224,34 @@ def assemble_arcme(p: ModelParams, M: int,
     Hamiltonian and then lifted, so the phonon mode cannot renormalize them.
     Energy bookkeeping stays with the bare electronic energies.
     """
-    aug = build_augmented_hamiltonian(p, M, basis)
-    space = _restricted_space(aug)
-    ops = build_rate_operators(aug, p)
-    Hel = build_system_hamiltonian(p, aug.basis).matrix
+    aug, space, ops, Hd = _augmented_parts(p, M, basis)
+    Hel = build_system_hamiltonian(p, aug.basis)
     evals_el = np.diag(Hel).real
-    A1, _, A3, _ = build_lead_coupling_ops(aug.basis)
-    bare = build_wcme_lead_dissipator(A1.matrix, evals_el, p.Gamma_L,
-                                      p.beta_L, p.mu_L, "left")
-    bare += build_wcme_lead_dissipator(A3.matrix, evals_el, p.Gamma_R,
-                                       p.beta_R, p.mu_R, "right")
+    A1, A3 = build_lead_coupling_ops(aug.basis)
+    bare = build_wcme_lead_dissipator(A1, evals_el, p.Gamma_L, p.beta_L, p.mu_L, "left")
+    bare += build_wcme_lead_dissipator(A3, evals_el, p.Gamma_R, p.beta_R, p.mu_R, "right")
     terms = [TaggedTerm(t.coef,
                         left=None if t.left is None else aug.lift(t.left),
                         right=None if t.right is None else aug.lift(t.right),
                         tag=t.tag, bath=t.bath)
              for t in bare]
-    Hd = np.diag(aug.evals).astype(complex)
     terms += coherent_terms(Hd)
     terms += bosonic_dissipator_terms(ops.position, ops.residual_half)
-    return Liouvillian(space=space, terms=terms, basis="augmented eigenbasis",
-                       method="arcme", hamiltonian=Hd, energy_op=aug.lift(Hel))
+    return Liouvillian(space=space, terms=terms, method="arcme", energy_op=aug.lift(Hel))
+
+
+def build_generator(p: ModelParams, method: str, M: int | None = None,
+                    basis: ElectronicBasis | None = None) -> Liouvillian:
+    """Generator of one of ``METHODS``; the RC methods need the Fock cutoff M."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r} (choose from {', '.join(METHODS)})")
+    if method == "wcme":
+        return assemble_wcme(p, basis)
+    if M is None:
+        raise ValueError(f"method {method!r} needs a Fock truncation M")
+    if method == "rcme":
+        return assemble_rcme(p, M, basis)
+    return assemble_arcme(p, M, basis)
 
 
 @dataclass
@@ -264,8 +280,8 @@ def converge_in_levels(evaluate, start: int = 10, step: int = 4,
     undersized cutoffs can fail for the same reason they are inaccurate --
     but once a level has been computed, a later failure (e.g. the memory
     guard) ends the walk with an honest certificate.  The walk also stops
-    early (unconverged) when the relative increments stop decreasing, the
-    practical signature of hitting the solver's truncation floor.
+    early (unconverged) at the first bounce, where a relative increment
+    stops decreasing; the message records where, not why.
     """
     history = []
     prev_val = None
@@ -290,12 +306,12 @@ def converge_in_levels(evaluate, start: int = 10, step: int = 4,
             if inc <= tol:
                 return LadderCertificate(True, M, val, inc, history)
             if prev_inc is not None and inc >= prev_inc:
-                # the bounce marks the truncation floor; the level before it
-                # is the best estimate on offer, so that is what we certify
+                # the level before the bounce is the best estimate on offer,
+                # so that is what we certify
                 Mp, vp = history[-2]
                 return LadderCertificate(False, Mp, vp, prev_inc, history,
-                                         "increments stopped decreasing "
-                                         "(truncation floor)")
+                                         "relative increments stopped "
+                                         f"decreasing (bounce at M={M})")
             prev_inc = inc
         prev_val = val
         M += step
@@ -311,13 +327,12 @@ def converge_current(p: ModelParams, method: str = "rcme",
                      step: int = 4, tol: float = 1e-6,
                      cap: int = 60) -> LadderCertificate:
     """Ladder convergence of the mean right-lead current."""
-    from .fcs import mean_current
-    from .superop import steady_state
-
-    build = {"rcme": assemble_rcme, "arcme": assemble_arcme}[method]
+    if method not in METHODS or method == "wcme":
+        raise ValueError(f"method {method!r} has no Fock ladder; "
+                         "use a reaction-coordinate method")
 
     def evaluate(M):
-        L = build(p, M, basis)
+        L = build_generator(p, method, M, basis)
         return mean_current(L, steady_state(L))
 
     return converge_in_levels(evaluate, start=start, step=step, tol=tol, cap=cap)

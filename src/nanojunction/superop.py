@@ -105,12 +105,6 @@ class TaggedTerm:
             out = out @ self.right
         return self.coef * out
 
-    def block(self, space: Space) -> np.ndarray:
-        """Materialize the restricted dense superoperator of this term alone."""
-        out = np.zeros((space.n, space.n), dtype=complex)
-        _add_term(out, space, self)
-        return out
-
 
 def _add_term(L: np.ndarray, space: Space, term: TaggedTerm) -> None:
     d = space.dim
@@ -154,18 +148,16 @@ def coherent_terms(H: np.ndarray):
 class Liouvillian:
     """Dense restricted generator plus its factorized term decomposition.
 
-    ``hamiltonian`` is the operator whose commutator forms the coherent part
-    (used again for energy-current traces); ``energy_op`` may override it for
-    bookkeeping (additive methods trace energy against the bare electronic
-    Hamiltonian).  The bordered LU factorization backing ``steady_state`` and
-    the pseudo-inverse is built once on first use and cached.
+    ``energy_op`` is the Hamiltonian that energy currents are traced
+    against: the one in the coherent part, except for the additive methods,
+    which book energy at the bare electronic Hamiltonian.  The bordered LU
+    factorization backing ``steady_state`` and the pseudo-inverse is built
+    once on first use and cached.
     """
 
     space: Space
     terms: list
-    basis: str = ""
     method: str = ""
-    hamiltonian: np.ndarray | None = None
     energy_op: np.ndarray | None = None
     matrix: np.ndarray | None = None
     _lu: tuple | None = field(default=None, repr=False)
@@ -173,8 +165,6 @@ class Liouvillian:
     def __post_init__(self):
         if self.matrix is None:
             self.matrix = assemble(self.space, self.terms)
-        if self.energy_op is None:
-            self.energy_op = self.hamiltonian
 
     def tagged(self, *tags):
         return [t for t in self.terms if t.tag in tags]
@@ -245,11 +235,13 @@ def steady_state(L: Liouvillian, tol: float = 1e-9) -> SteadyState:
         raise ConvergenceFailure(f"steady-state residual {residual:.3e} > tol {tol:.1e}")
     pops = np.diag(rho).real
     minpop = float(pops.min())
-    # second-order generators are not completely positive: negative
-    # populations grow from ~1e-8 at weak coupling to ~1e-5 deep in the
-    # blockade and are structural, not numerical.  Only an order-one dip
-    # means the solve itself broke (the residual check above catches most
-    # of those first).
+    # second-order generators are not completely positive, so populations
+    # dip below zero structurally, not numerically: about -1e-8 at weak
+    # coupling, a negative mass of -4e-7 to -1.8e-6 for the RCME at
+    # lam = 1000, and for the ARCME there (regime 1) a minimum that grows
+    # with the cutoff, -2.3e-4 at M = 14 to -2.7e-2 at M = 30.  This -1e-3
+    # gate is what stops that additive ladder; a broken solve mostly trips
+    # the residual check above first.
     if minpop < -1e-3:
         raise ConvergenceFailure(f"steady-state population {minpop:.3e} below -1e-3")
     if minpop < -1e-10:

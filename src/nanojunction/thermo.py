@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fcs import Cumulants, cumulants, mean_current
+from .fcs import cumulants, mean_current
 from .model import ElectronicBasis, ModelParams
+from .rc import build_generator
 from .superop import ConvergenceFailure, Liouvillian, SteadyState, apply_terms, steady_state
 
 
@@ -100,37 +101,20 @@ class TransportReport:
     carnot_violated: bool
     converged: bool
     residual: float
-    V_S: float | None = None
-
-
-def _build(p: ModelParams, method: str, M: int | None,
-           basis: ElectronicBasis | None) -> Liouvillian:
-    from .rc import assemble_arcme, assemble_rcme
-    from .wcme import assemble_wcme
-
-    if method == "wcme":
-        return assemble_wcme(p, basis)
-    if method == "rcme":
-        return assemble_rcme(p, M, basis)
-    if method == "arcme":
-        return assemble_arcme(p, M, basis)
-    raise ValueError(f"unknown method {method!r}")
 
 
 def transport_report(p: ModelParams, method: str, regime: int, M: int | None = None,
                      basis: ElectronicBasis | None = None,
                      converged: bool = True) -> TransportReport:
     """Solve one operating point and assemble the full report."""
-    if method != "wcme" and M is None:
-        raise ValueError("reaction-coordinate methods need a Fock truncation M")
-    L = _build(p, method, M, basis)
+    if regime not in (1, 2):
+        raise ValueError(f"regime must be 1 or 2, got {regime!r}")
+    L = build_generator(p, method, M, basis)
     ss = steady_state(L)
     cum = cumulants(L, ss)
     IE_L, IE_R, IE_ph = energy_currents(L, ss)
     P = p.V * cum.c1
     Q_in = IE_L - p.mu_L * cum.c1 if regime == 1 else IE_ph
-    if regime not in (1, 2):
-        raise ValueError("regime must be 1 or 2")
     try:
         eta = efficiency(P, Q_in)
     except NotAnEngine:
@@ -181,7 +165,7 @@ def stopping_voltage(p: ModelParams, method: str = "wcme", M: int | None = None,
         v_max = default_bracket(p)
 
     def current_at(V: float) -> float:
-        L = _build(p.with_bias(V), method, M, basis)
+        L = build_generator(p.with_bias(V), method, M, basis)
         return mean_current(L, steady_state(L))
 
     return bisect_root(current_at, 0.0, v_max, tol=tol)

@@ -113,12 +113,6 @@ def bosonic_dissipator_terms(s: np.ndarray, half: RedfieldHalfTransform) -> list
     ]
 
 
-def build_wcme_phonon_dissipator(s: np.ndarray, evals: np.ndarray, J, slope0: float,
-                                 beta: float) -> list:
-    """Redfield dissipator of the bosonic environment with density J."""
-    return bosonic_dissipator_terms(s, bose_half(s, evals, J, slope0, beta))
-
-
 def assemble_wcme(p: ModelParams, basis: ElectronicBasis | None = None) -> Liouvillian:
     """Full weak-coupling generator: coherent part, both leads, phonons.
 
@@ -130,15 +124,14 @@ def assemble_wcme(p: ModelParams, basis: ElectronicBasis | None = None) -> Liouv
         basis = ElectronicBasis(project_out_double=False)
     if p.Delta == 0.0:
         raise ValueError("inter-site transition is degenerate (Delta = 0)")
-    H = build_system_hamiltonian(p, basis).matrix
+    H = build_system_hamiltonian(p, basis)
     evals = np.diag(H).real
-    A1, _, A3, _ = build_lead_coupling_ops(basis)
-    s = build_phonon_coupling_op(basis).matrix
+    A1, A3 = build_lead_coupling_ops(basis)
+    s = build_phonon_coupling_op(basis)
     sd = p.spectral_density()
     terms = coherent_terms(H)
-    terms += build_wcme_lead_dissipator(A1.matrix, evals, p.Gamma_L, p.beta_L, p.mu_L, "left")
-    terms += build_wcme_lead_dissipator(A3.matrix, evals, p.Gamma_R, p.beta_R, p.mu_R, "right")
-    terms += build_wcme_phonon_dissipator(s, evals, sd, sd.slope0, p.beta_ph)
+    terms += build_wcme_lead_dissipator(A1, evals, p.Gamma_L, p.beta_L, p.mu_L, "left")
+    terms += build_wcme_lead_dissipator(A3, evals, p.Gamma_R, p.beta_R, p.mu_R, "right")
+    terms += bosonic_dissipator_terms(s, bose_half(s, evals, sd, sd.slope0, p.beta_ph))
     space = Space(basis.electron_numbers)
-    return Liouvillian(space=space, terms=terms, basis=",".join(basis.labels),
-                       method="wcme", hamiltonian=H)
+    return Liouvillian(space=space, terms=terms, method="wcme", energy_op=H)

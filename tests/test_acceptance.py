@@ -257,7 +257,7 @@ def test_criterion_07_single_resonant_level_closed_form():
     terms += build_wcme_lead_dissipator(remove, evals, gamma, 1.0, 1e4, "left")
     terms += build_wcme_lead_dissipator(remove, evals, gamma, 1.0, -1e4,
                                         "right")
-    L = Liouvillian(Space([0, 1]), terms, method="srl", hamiltonian=H)
+    L = Liouvillian(Space([0, 1]), terms, method="srl", energy_op=H)
     cum = cumulants(L, steady_state(L))
     print(f"I={cum.c1:.15f} (want {gamma / 2}) fano={cum.fano:.15f} (want 0.5)")
     assert cum.c1 == pytest.approx(gamma / 2.0, rel=1e-10)

@@ -35,7 +35,7 @@ def _single_level(gamma_left, gamma_right):
                                         "left")
     terms += build_wcme_lead_dissipator(remove, evals, gamma_right, 1.0, -1e4,
                                         "right")
-    return Liouvillian(Space([0, 1]), terms, method="srl", hamiltonian=H)
+    return Liouvillian(Space([0, 1]), terms, method="srl", energy_op=H)
 
 
 def test_resonant_level_mean_and_fano():

@@ -54,36 +54,34 @@ def test_basis_projection():
 
 
 def test_hamiltonian_energies():
-    p = ModelParams(eps_L=1.0, Delta_=2.0, U=5.0)
-    H4 = build_system_hamiltonian(p, ElectronicBasis()).matrix
+    p = ModelParams(eps_L=1.0, Delta=2.0, U=5.0)
+    H4 = build_system_hamiltonian(p, ElectronicBasis())
     assert np.allclose(np.diag(H4), [0.0, 1.0, 3.0, 9.0])
-    H3 = build_system_hamiltonian(p, ElectronicBasis(project_out_double=True)).matrix
+    H3 = build_system_hamiltonian(p, ElectronicBasis(project_out_double=True))
     assert H3.shape == (3, 3) and np.allclose(np.diag(H3), [0.0, 1.0, 3.0])
 
 
 def test_lead_ops_jw_signs_and_charge():
     b = ElectronicBasis()
-    A1, A2, A3, A4 = build_lead_coupling_ops(b)
+    A1, A3 = build_lead_coupling_ops(b)
     G, L, R, D = (b.index(s) for s in "GLRD")
-    assert A1.matrix[G, L] == -1.0 and A1.matrix[R, D] == 1.0
-    assert A3.matrix[G, R] == 1.0 and A3.matrix[L, D] == 1.0
-    assert np.array_equal(A2.matrix, A1.matrix.conj().T)
-    assert np.array_equal(A4.matrix, A3.matrix.conj().T)
+    assert A1[G, L] == -1.0 and A1[R, D] == 1.0
+    assert A3[G, R] == 1.0 and A3[L, D] == 1.0
     # both remove exactly one electron: [A, N] = A
     N = np.diag(b.electron_numbers.astype(complex))
-    for A in (A1.matrix, A3.matrix):
+    for A in (A1, A3):
         assert np.allclose(A @ N - N @ A, A)
 
 
 def test_lead_ops_projected_basis():
     b = ElectronicBasis(project_out_double=True)
-    A1, _, A3, _ = build_lead_coupling_ops(b)
-    assert np.count_nonzero(A1.matrix) == 1 and np.count_nonzero(A3.matrix) == 1
+    A1, A3 = build_lead_coupling_ops(b)
+    assert np.count_nonzero(A1) == 1 and np.count_nonzero(A3) == 1
 
 
 def test_phonon_coupling_structure():
     b = ElectronicBasis()
-    s = build_phonon_coupling_op(b).matrix
+    s = build_phonon_coupling_op(b)
     assert np.allclose(s, s.conj().T)
     N = np.diag(b.electron_numbers.astype(complex))
     assert np.allclose(s @ N, N @ s)

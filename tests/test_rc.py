@@ -11,6 +11,8 @@ from nanojunction.rc import (
     assemble_arcme,
     assemble_rcme,
     build_augmented_hamiltonian,
+    build_generator,
+    converge_current,
     converge_in_levels,
     ladder_op,
     rc_map,
@@ -90,7 +92,7 @@ def test_single_lead_thermalizes_to_gibbs():
     p = ModelParams(Gamma_R=0.0, mu_R=0.0)
     L = assemble_rcme(p, 12)
     ss = steady_state(L)
-    e = np.diag(L.hamiltonian).real
+    e = np.diag(L.energy_op).real
     w = np.exp(-1.0 * (e - e.min()))   # common beta = 1, mu = 0
     assert np.max(np.abs(ss.rho - np.diag(w / w.sum()))) < 1e-8
 
@@ -154,7 +156,7 @@ def test_ladder_detects_truncation_floor():
     table = {10: 1.0, 14: 1.001, 18: 1.0012, 22: 1.00125, 26: 1.0017}
     cert = converge_in_levels(table.__getitem__, start=10, step=4, tol=1e-6)
     assert not cert.converged
-    assert "floor" in cert.message
+    assert "relative increments stopped decreasing (bounce at M=26)" in cert.message
     assert cert.M == 22          # report the best level, not the bounced one
     assert cert.value == 1.00125
     assert cert.history[-1] == (26, 1.0017)   # the bounce stays on record
@@ -193,6 +195,16 @@ def test_ladder_skips_failing_levels_before_first_success():
     assert cert.converged
     assert cert.history[0][0] == 14
     assert cert.M == 26
+
+
+@pytest.mark.parametrize("method", ["wcme", "bogus"])
+def test_converge_current_rejects_methods_without_a_ladder(method):
+    with pytest.raises(ValueError, match=method):
+        converge_current(ModelParams(), method)
+    with pytest.raises(ValueError, match="rcme"):
+        build_generator(ModelParams(), "rcme", M=None)
+    with pytest.raises(ValueError, match="bogus"):
+        build_generator(ModelParams(), "bogus", M=6)
 
 
 def test_ladder_reraises_when_nothing_computed():

@@ -32,7 +32,7 @@ def _random_ergodic(rng, d):
     for _ in range(2):
         c = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         terms += _lindblad_terms(c)
-    return Liouvillian(space=Space.full(d), terms=terms, hamiltonian=H)
+    return Liouvillian(space=Space.full(d), terms=terms, energy_op=H)
 
 
 def test_vec_roundtrip_full_space():
@@ -64,7 +64,7 @@ def test_term_block_matches_sandwich():
         B = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         rho = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         t = TaggedTerm(0.7 - 0.2j, left=A, right=B)
-        assert np.allclose(sp.devec(t.block(sp) @ sp.vec(rho)), t.apply(rho))
+        assert np.allclose(sp.devec(assemble(sp, [t]) @ sp.vec(rho)), t.apply(rho))
 
 
 def test_sector_assembly_matches_full_space():

@@ -134,6 +134,13 @@ def test_rc_methods_require_truncation():
         transport_report(regime_params(2), "rcme", 2)
 
 
+def test_bad_regime_is_rejected_before_any_build():
+    # M = 60 would trip the dense-solver guard, so only a check made before
+    # building H' can raise the ValueError
+    with pytest.raises(ValueError, match="regime"):
+        transport_report(regime_params(1), "rcme", 3, M=60)
+
+
 def test_bisection_on_closed_form():
     assert bisect_root(lambda x: 1.0 - x, 0.0, 2.0, tol=1e-10) == pytest.approx(
         1.0, abs=1e-9)

@@ -149,7 +149,7 @@ def test_equilibrium_carries_no_current():
     ss = steady_state(L)
     assert abs(mean_current(L, ss)) < 1e-13
     # and the state is Gibbs at the common temperature
-    e = np.diag(L.hamiltonian).real
+    e = np.diag(L.energy_op).real
     w = np.exp(-1.0 * (e - e.min()))
     assert np.allclose(np.diag(ss.rho).real, w / w.sum(), atol=1e-10)
 
@@ -166,7 +166,7 @@ def test_filled_bands_pin_single_occupancy():
 
 def test_degenerate_transition_rejected():
     with pytest.raises(ValueError):
-        assemble_wcme(ModelParams(Delta_=0.0))
+        assemble_wcme(ModelParams(Delta=0.0))
 
 
 def test_tag_partition_reassembles_generator():
