@@ -140,12 +140,13 @@ def counting_field_oracle(L: Liouvillian, ss: SteadyState | None = None,
     if ss is None:
         ss = steady_state(L)
     plus, minus = _tags(side)
+    L0 = assemble(L.space, L.terms)
     Ip = assemble(L.space, L.tagged(plus))
     Im = assemble(L.space, L.tagged(minus))
     t = L.space.trace_vec.astype(complex)
     g = {}
     for chi in (h, -h, h / 2, -h / 2):
-        Lx = L.matrix + (np.exp(1j * chi) - 1.0) * Ip + (np.exp(-1j * chi) - 1.0) * Im
+        Lx = L0 + (np.exp(1j * chi) - 1.0) * Ip + (np.exp(-1j * chi) - 1.0) * Im
         g[chi] = _eigenvalue_slope(Lx, Ip, Im, chi, ss.vec, t, iterations)
     c1_h = 0.5 * (g[h] + g[-h]).real
     c1_h2 = 0.5 * (g[h / 2] + g[-h / 2]).real

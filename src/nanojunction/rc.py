@@ -47,9 +47,9 @@ from .wcme import (
 METHODS = ("wcme", "rcme", "arcme")
 
 # Largest restricted superoperator dimension the dense solve path may
-# allocate.  The peak holds the generator, its bordered copy under in-place
-# LU, and one Kronecker block transient at once (~3 matrices of n^2 complex
-# entries); n = 9000 keeps that near 4 GB.
+# allocate.  The peak holds the (n+1)^2 bordered buffer, which the LU
+# overwrites, and one (2M)^4 sector-pair block, ~1.64 n^2 complex entries for
+# the three-state basis; n = 9000 puts that near 2.1 GB.
 MAX_RESTRICTED_DIM = 9000
 
 

@@ -8,8 +8,9 @@ keeps dense LU factorizations affordable at large reaction-coordinate
 truncations.  A trivial single-sector ``Space`` recovers the full d^2 layout.
 
 Superoperator terms are stored in factorized form, coef * (A . B), i.e.
-rho -> coef * A @ rho @ B, and materialized blockwise via
-vec(A rho B) = (B^T kron A) vec(rho) only when a dense matrix is needed.
+rho -> coef * A @ rho @ B, the generator's only stored form: a
+``Liouvillian`` sums them blockwise, via vec(A rho B) = (B^T kron A) vec(rho),
+straight into its bordered LU buffer; its certificates apply them matrix-free.
 """
 from __future__ import annotations
 
@@ -43,19 +44,13 @@ class Space:
 
     def __init__(self, numbers):
         numbers = np.asarray(numbers)
-        self.dim = len(numbers)
+        d = self.dim = len(numbers)
         self.sectors = [np.flatnonzero(numbers == v) for v in np.unique(numbers)]
-        self.offsets = []
-        off = 0
-        for s in self.sectors:
-            self.offsets.append(off)
-            off += len(s) ** 2
-        self.n = off
-        t = np.zeros(self.n)
-        for s, off in zip(self.sectors, self.offsets):
-            m = len(s)
-            t[off : off + m * m : m + 1] = 1.0
-        self.trace_vec = t
+        self.offsets = np.cumsum([0] + [len(s) ** 2 for s in self.sectors])[:-1]
+        # row-major position in rho of every kept entry, each block column-stacked
+        self.index = np.concatenate([(s[:, None] + d * s).ravel() for s in self.sectors])
+        self.n = len(self.index)
+        self.trace_vec = (self.index % (d + 1) == 0).astype(float)
 
     @classmethod
     def full(cls, dim: int) -> "Space":
@@ -64,19 +59,13 @@ class Space:
 
     def vec(self, rho: np.ndarray) -> np.ndarray:
         """Restrict and column-stack a d x d matrix."""
-        out = np.empty(self.n, dtype=complex)
-        for s, off in zip(self.sectors, self.offsets):
-            m = len(s)
-            out[off : off + m * m] = rho[np.ix_(s, s)].flatten("F")
-        return out
+        return rho.reshape(-1)[self.index].astype(complex, copy=False)
 
     def devec(self, x: np.ndarray) -> np.ndarray:
         """Inverse of ``vec``; unrestricted blocks are zero."""
-        rho = np.zeros((self.dim, self.dim), dtype=complex)
-        for s, off in zip(self.sectors, self.offsets):
-            m = len(s)
-            rho[np.ix_(s, s)] = x[off : off + m * m].reshape((m, m), order="F")
-        return rho
+        rho = np.zeros(self.dim * self.dim, dtype=complex)
+        rho[self.index] = x
+        return rho.reshape(self.dim, self.dim)
 
 
 @dataclass
@@ -106,28 +95,35 @@ class TaggedTerm:
         return self.coef * out
 
 
-def _add_term(L: np.ndarray, space: Space, term: TaggedTerm) -> None:
-    d = space.dim
-    eye = np.eye(d, dtype=complex)
-    A = eye if term.left is None else term.left
-    B = eye if term.right is None else term.right
-    for sa, offa in zip(space.sectors, space.offsets):
-        ma = len(sa)
-        for sc, offc in zip(space.sectors, space.offsets):
-            mc = len(sc)
-            Ablk = A[np.ix_(sa, sc)]
-            Bblk = B[np.ix_(sc, sa)]
-            if not (Ablk.any() and Bblk.any()):
-                continue
-            L[offa : offa + ma * ma, offc : offc + mc * mc] += term.coef * np.kron(Bblk.T, Ablk)
+def assemble(space: Space, terms, out: np.ndarray | None = None) -> np.ndarray:
+    """Sum the factorized terms into a dense restricted superoperator.
 
-
-def assemble(space: Space, terms) -> np.ndarray:
-    """Sum the factorized terms into a dense restricted superoperator."""
-    L = np.zeros((space.n, space.n), dtype=complex)
+    Returns a fresh Fortran-ordered n x n array, or adds the sum into the
+    leading n x n block of ``out`` (Fortran-ordered, so that its transpose
+    is written row by row).
+    """
+    if out is None:
+        out = np.zeros((space.n, space.n), dtype=complex, order="F")
+    # a block of L is coef * kron(B^T, A); its transpose kron(B, A^T) goes
+    # into the C-ordered out.T from a single block-sized product
+    LT = out.T
+    eye = np.eye(space.dim, dtype=complex)
     for t in terms:
-        _add_term(L, space, t)
-    return L
+        A = eye if t.left is None else t.left
+        B = eye if t.right is None else t.right
+        for sa, offa in zip(space.sectors, space.offsets):
+            ma = len(sa)
+            for sc, offc in zip(space.sectors, space.offsets):
+                mc = len(sc)
+                Ablk = A[np.ix_(sa, sc)]
+                Bblk = B[np.ix_(sc, sa)]
+                if not (Ablk.any() and Bblk.any()):
+                    continue
+                blk = np.multiply(Bblk[:, None, :, None], Ablk.T[None, :, None, :], order="C")
+                blk *= t.coef
+                LT[offc : offc + mc * mc, offa : offa + ma * ma] += blk.reshape(mc * mc, ma * ma)
+                del blk   # freed before the next block is made, not after
+    return out
 
 
 def apply_terms(terms, space: Space, x: np.ndarray) -> np.ndarray:
@@ -146,25 +142,28 @@ def coherent_terms(H: np.ndarray):
 
 @dataclass
 class Liouvillian:
-    """Dense restricted generator plus its factorized term decomposition.
+    """Restricted generator: its factorized terms and their bordered LU.
 
-    ``energy_op`` is the Hamiltonian that energy currents are traced
-    against: the one in the coherent part, except for the additive methods,
-    which book energy at the bare electronic Hamiltonian.  The bordered LU
-    factorization backing ``steady_state`` and the pseudo-inverse is built
-    once on first use and cached.
+    ``terms`` is the one stored form; construction sums them into the
+    Fortran-ordered bordered buffer [[L, t^dag], [t, 0]], which the first
+    ``bordered_lu`` call factors in place.  ``energy_op`` is the Hamiltonian
+    energy currents are traced against: the one in the coherent part, except
+    for the additive methods, which book energy at the bare electronic one.
     """
 
     space: Space
     terms: list
     method: str = ""
     energy_op: np.ndarray | None = None
-    matrix: np.ndarray | None = None
-    _lu: tuple | None = field(default=None, repr=False)
+    _bordered: np.ndarray | None = field(default=None, init=False, repr=False)
+    _lu: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        if self.matrix is None:
-            self.matrix = assemble(self.space, self.terms)
+        n = self.space.n
+        self._bordered = np.zeros((n + 1, n + 1), dtype=complex, order="F")
+        assemble(self.space, self.terms, self._bordered)
+        self._bordered[:n, n] = self.space.trace_vec
+        self._bordered[n, :n] = self.space.trace_vec
 
     def tagged(self, *tags):
         return [t for t in self.terms if t.tag in tags]
@@ -173,27 +172,27 @@ class Liouvillian:
         return [t for t in self.terms if t.bath in baths]
 
     def trace_defect(self) -> float:
-        """Infinity norm of the trace functional acting from the left, 1^dag L."""
-        return float(np.max(np.abs(self.space.trace_vec @ self.matrix)))
+        """Infinity norm of the trace functional acting from the left, 1^dag L.
+
+        tr(A rho B) = tr(B A rho), so 1^dag L = vec(K^T) with K = sum coef B A,
+        the terms with their factors swapped applied to the identity.
+        """
+        eye = np.eye(self.space.dim, dtype=complex)
+        K = sum(TaggedTerm(t.coef, t.right, t.left).apply(eye) for t in self.terms)
+        return float(np.max(np.abs(self.space.vec(K.T))))
 
     def bordered_lu(self):
         """LU of [[L, t^dag], [t, 0]]; shared by steady state and pseudo-inverse."""
         if self._lu is None:
-            n = self.space.n
-            t = self.space.trace_vec
-            A = np.zeros((n + 1, n + 1), dtype=complex)
-            A[:n, :n] = self.matrix
-            A[:n, n] = t
-            A[n, :n] = t
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", sla.LinAlgWarning)
-                lu, piv = sla.lu_factor(A, overwrite_a=True, check_finite=False)
-            du = np.abs(np.diag(lu))
-            if du.min() <= (n + 1) * np.finfo(float).eps * du.max():
-                raise NonUniqueSteadyState(
-                    "stationary space is degenerate (singular bordered system)"
-                )
-            self._lu = (lu, piv)
+                self._lu = sla.lu_factor(self._bordered, overwrite_a=True, check_finite=False)
+            self._bordered = None   # overwritten by the factors
+        du = np.abs(np.diag(self._lu[0]))
+        if du.min() <= len(du) * np.finfo(float).eps * du.max():
+            raise NonUniqueSteadyState(
+                "stationary space is degenerate (singular bordered system)"
+            )
         return self._lu
 
 
@@ -208,20 +207,27 @@ class SteadyState:
     min_population: float
 
 
+def _bordered_solve(L: Liouvillian, y, trace: float, error: type) -> np.ndarray:
+    """x from [[L, t^dag], [t, 0]] [x; s] = [y; trace], with the cached LU."""
+    n = L.space.n
+    rhs = np.empty(n + 1, dtype=complex)
+    rhs[:n] = y
+    rhs[n] = trace
+    x = sla.lu_solve(L.bordered_lu(), rhs, check_finite=False)[:n]
+    if not np.all(np.isfinite(x)):
+        raise error("bordered solve returned non-finite entries")
+    return x
+
+
 def steady_state(L: Liouvillian, tol: float = 1e-9) -> SteadyState:
     """Solve L vec(rho) = 0 with unit trace via the bordered system.
 
     Raises ``NonUniqueSteadyState`` when the stationary direction is
     degenerate and ``ConvergenceFailure`` when the residual certificate
-    ``max|L vec(rho)|`` exceeds ``tol`` or populations go below -1e-3.
+    ``max|L vec(rho)|`` (L applied from its terms) exceeds ``tol`` or
+    populations go below -1e-3.
     """
-    n = L.space.n
-    lu = L.bordered_lu()
-    rhs = np.zeros(n + 1, dtype=complex)
-    rhs[n] = 1.0
-    x = sla.lu_solve(lu, rhs, check_finite=False)[:n]
-    if not np.all(np.isfinite(x)):
-        raise NonUniqueSteadyState("bordered solve returned non-finite entries")
+    x = _bordered_solve(L, 0.0, 1.0, NonUniqueSteadyState)
     rho = L.space.devec(x)
     herm = float(np.max(np.abs(rho - rho.conj().T)))
     rho = 0.5 * (rho + rho.conj().T)
@@ -230,7 +236,7 @@ def steady_state(L: Liouvillian, tol: float = 1e-9) -> SteadyState:
         raise ConvergenceFailure("steady-state trace vanished")
     rho /= tr
     x = L.space.vec(rho)
-    residual = float(np.max(np.abs(L.matrix @ x)))
+    residual = float(np.max(np.abs(apply_terms(L.terms, L.space, x))))
     if residual > tol:
         raise ConvergenceFailure(f"steady-state residual {residual:.3e} > tol {tol:.1e}")
     pops = np.diag(rho).real
@@ -256,13 +262,6 @@ def restricted_pseudo_inverse_apply(L: Liouvillian, ss: SteadyState, y: np.ndarr
     Q projects out the stationary direction: Q y = y - vec(rho_ss) (1^dag y).
     The solve reuses the bordered LU; the trace row pins 1^dag (R y) = 0.
     """
-    n = L.space.n
     t = L.space.trace_vec
-    qy = y - ss.vec * (t @ y)
-    rhs = np.empty(n + 1, dtype=complex)
-    rhs[:n] = qy
-    rhs[n] = 0.0
-    x = sla.lu_solve(L.bordered_lu(), rhs, check_finite=False)[:n]
-    if not np.all(np.isfinite(x)):
-        raise ConvergenceFailure("pseudo-inverse solve returned non-finite entries")
+    x = _bordered_solve(L, y - ss.vec * (t @ y), 0.0, ConvergenceFailure)
     return x - ss.vec * (t @ x)

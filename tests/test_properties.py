@@ -1,7 +1,10 @@
 """Generator invariants over random parameters, for every registered method.
 
 Each example draws a method, a regime, lam in [0.01, 10], a bias V in
-[-1, 2] and Gamma_L in [0.01, 1], and solves at Fock cutoff M = 6.  Trace
+[-1, 2], Gamma_L in [0.01, 1] and the electronic basis, with or without the
+doubly occupied state (WCME defaults to four states, the RC methods to
+three, so each method is also drawn in its other basis), and solves at Fock
+cutoff M = 6.  Trace
 and Hermiticity preservation, c2 >= 0 and the equality of left- and
 right-counted currents must hold for all three methods.  Energy balance is
 an identity for the additive method (its phonon flow is defined by it), so
@@ -18,35 +21,38 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nanojunction import ModelParams, build_generator, cumulants, energy_currents
-from nanojunction import mean_current, regime_params, steady_state
+from nanojunction import ElectronicBasis, ModelParams, build_generator, cumulants
+from nanojunction import energy_currents, mean_current, regime_params, steady_state
 from nanojunction.rc import METHODS
+from nanojunction.superop import assemble
 
 M = 6
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=40)
+BASES = st.builds(ElectronicBasis, project_out_double=st.booleans())
 
 
-def _hermiticity_defect(L) -> float:
+def _hermiticity_defect(L, dense) -> float:
     """max |Y - Y^dag| for Y = L(X), X a fixed random Hermitian matrix."""
     rng = np.random.default_rng(0)
     d = L.space.dim
     X = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     X = L.space.devec(L.space.vec(X + X.conj().T))
-    Y = L.space.devec(L.matrix @ L.space.vec(X))
+    Y = L.space.devec(dense @ L.space.vec(X))
     return float(np.max(np.abs(Y - Y.conj().T)) / np.max(np.abs(X)))
 
 
 @SETTINGS
 @given(method=st.sampled_from(METHODS), regime=st.sampled_from([1, 2]),
        lam=st.floats(0.01, 10.0), V=st.floats(-1.0, 2.0),
-       Gamma_L=st.floats(0.01, 1.0))
-def test_invariants_hold_at_random_points(method, regime, lam, V, Gamma_L):
+       Gamma_L=st.floats(0.01, 1.0), basis=BASES)
+def test_invariants_hold_at_random_points(method, regime, lam, V, Gamma_L, basis):
     p = regime_params(regime, lam=lam, Gamma_L=Gamma_L).with_bias(V)
-    L = build_generator(p, method, M)
+    L = build_generator(p, method, M, basis)
     ss = steady_state(L)
-    scale = float(np.max(np.abs(L.matrix)))
+    dense = assemble(L.space, L.terms)
+    scale = float(np.max(np.abs(dense)))
     assert L.trace_defect() <= 1e-13 * scale
-    assert _hermiticity_defect(L) <= 1e-13 * scale
+    assert _hermiticity_defect(L, dense) <= 1e-13 * scale
     assert cumulants(L, ss).c2 >= 0.0
     left, right = mean_current(L, ss, "left"), mean_current(L, ss, "right")
     d = L.space.dim
@@ -61,8 +67,8 @@ def test_invariants_hold_at_random_points(method, regime, lam, V, Gamma_L):
 
 @SETTINGS
 @given(method=st.sampled_from(["wcme", "rcme"]), lam=st.floats(0.01, 10.0),
-       Gamma_L=st.floats(0.01, 1.0))
-def test_equilibrium_carries_no_current(method, lam, Gamma_L):
+       Gamma_L=st.floats(0.01, 1.0), basis=BASES)
+def test_equilibrium_carries_no_current(method, lam, Gamma_L, basis):
     p = ModelParams(lam=lam, Gamma_L=Gamma_L, mu_R=0.0)   # one temperature, V = 0
-    L = build_generator(p, method, M)
+    L = build_generator(p, method, M, basis)
     assert abs(mean_current(L, steady_state(L))) < 1e-12
