@@ -86,6 +86,12 @@ class SweepSpec:
             raise ValueError("log grids need positive endpoints")
         if self.swept == "M" and "wcme" in self.methods:
             raise ValueError("wcme has no Fock truncation to sweep")
+        if self.swept == "M" and self.grid().min() < 1:
+            raise ValueError("Fock truncations M must be at least 1")
+        rc = self.rc
+        if min(rc.levels, rc.start, rc.step) < 1 or rc.cap < rc.start:
+            raise ValueError("rc levels, start and step must be at least 1 "
+                             "and cap at least start")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
         for k in self.model:

@@ -48,8 +48,8 @@ METHODS = ("wcme", "rcme", "arcme")
 
 # Largest restricted superoperator dimension the dense solve path may
 # allocate.  The peak holds the (n+1)^2 bordered buffer, which the LU
-# overwrites, and one (2M)^4 sector-pair block, ~1.64 n^2 complex entries for
-# the three-state basis; n = 9000 puts that near 2.1 GB.
+# overwrites, and one O(m^3) assembly slab, ~16 (n+1)^2 bytes: ~1.30 GB at
+# n = 9000 (an M = 42 report, n = 8820, peaked at 1279 MB RSS).
 MAX_RESTRICTED_DIM = 9000
 
 
@@ -283,6 +283,9 @@ def converge_in_levels(evaluate, start: int = 10, step: int = 4,
     early (unconverged) at the first bounce, where a relative increment
     stops decreasing; the message records where, not why.
     """
+    if start < 1 or step < 1 or cap < start:
+        raise ValueError(f"ladder needs 1 <= start <= cap and step >= 1 "
+                         f"(start={start}, step={step}, cap={cap})")
     history = []
     prev_val = None
     prev_inc = None

@@ -11,6 +11,9 @@ Superoperator terms are stored in factorized form, coef * (A . B), i.e.
 rho -> coef * A @ rho @ B, the generator's only stored form: a
 ``Liouvillian`` sums them blockwise, via vec(A rho B) = (B^T kron A) vec(rho),
 straight into its bordered LU buffer; its certificates apply them matrix-free.
+A one-sided term (A rho or rho B) is written only on the m^3 non-zeros of its
+m^2 x m^2 sector block, a sandwich one O(m^3) slab at a time, so assembly
+holds no block-sized temporary.
 """
 from __future__ import annotations
 
@@ -100,12 +103,15 @@ def assemble(space: Space, terms, out: np.ndarray | None = None) -> np.ndarray:
 
     Returns a fresh Fortran-ordered n x n array, or adds the sum into the
     leading n x n block of ``out`` (Fortran-ordered, so that its transpose
-    is written row by row).
+    is written row by row).  Terms and sector pairs are added in order; a
+    one-sided term touches only its non-zero entries and a sandwich is
+    built one slab at a time, which gives the same bits as adding every
+    full kron block.
     """
     if out is None:
         out = np.zeros((space.n, space.n), dtype=complex, order="F")
-    # a block of L is coef * kron(B^T, A); its transpose kron(B, A^T) goes
-    # into the C-ordered out.T from a single block-sized product
+    # a block of L is coef * kron(B^T, A); its transpose kron(B, A^T), viewed
+    # as blk[l, k, j, i] = B[l, j] A^T[k, i], is added into the C-ordered out.T
     LT = out.T
     eye = np.eye(space.dim, dtype=complex)
     for t in terms:
@@ -118,11 +124,23 @@ def assemble(space: Space, terms, out: np.ndarray | None = None) -> np.ndarray:
                 Ablk = A[np.ix_(sa, sc)]
                 Bblk = B[np.ix_(sc, sa)]
                 if not (Ablk.any() and Bblk.any()):
-                    continue
-                blk = np.multiply(Bblk[:, None, :, None], Ablk.T[None, :, None, :], order="C")
-                blk *= t.coef
-                LT[offc : offc + mc * mc, offa : offa + ma * ma] += blk.reshape(mc * mc, ma * ma)
-                del blk   # freed before the next block is made, not after
+                    continue   # an identity factor leaves only sa == sc
+                blk = LT[offc : offc + mc * mc, offa : offa + ma * ma].reshape(mc, mc, ma, ma)
+                # the products skipped below are exact zeros, so the sums
+                # are bit for bit those of the full kron(B, A^T)
+                if t.right is None:   # B = 1: non-zero only where l == j
+                    a = Ablk.T * t.coef
+                    for j in range(ma):
+                        blk[j, :, j, :] += a
+                elif t.left is None:   # A = 1: non-zero only where k == i
+                    b = Bblk * t.coef
+                    for k in range(ma):
+                        blk[:, k, :, k] += b
+                else:   # a sandwich, one l-slab at a time
+                    for l in range(mc):
+                        slab = np.multiply(Bblk[l, None, :, None], Ablk.T[:, None, :], order="C")
+                        slab *= t.coef
+                        blk[l] += slab
     return out
 
 

@@ -53,6 +53,11 @@ def test_point_params_routes_the_swept_variable():
     dict(methods=("wcme", "rcme"), swept="M"),
     dict(workers=0),
     dict(model={"bogus": 1.0}),
+    dict(methods=("rcme",), swept="M", start=0.0, stop=8.0),
+    dict(rc=RcSettings(levels=0)),
+    dict(rc=RcSettings(start=0)),
+    dict(rc=RcSettings(step=0)),
+    dict(rc=RcSettings(auto=True, start=12, cap=8)),
 ])
 def test_spec_validation_rejects(bad):
     with pytest.raises(ValueError):
@@ -177,6 +182,14 @@ def test_bad_invocations_exit_2(tmp_path):
     assert main(["--method", "wcme", "--regime", "2", "--sweep", "M",
                  "--from", "4", "--to", "8", "--points", "2"]) == 2
     assert main([str(tmp_path / "missing.ini")]) == 2
+    bias = ["--method", "rcme", "--regime", "2", "--sweep", "V",
+            "--from", "0", "--to", "1", "--points", "2", "--out", str(tmp_path / "b.csv")]
+    assert main(bias + ["--rc-levels", "0"]) == 2
+    assert main(["--method", "rcme", "--regime", "2", "--sweep", "M",
+                 "--from", "0", "--to", "8", "--points", "2"]) == 2
+    ini = tmp_path / "ladder.ini"
+    ini.write_text("[rc]\nauto = true\nstart = 12\ncap = 8\n")
+    assert main([str(ini)] + bias) == 2
 
 
 def test_unsolvable_points_fail_soft(tmp_path, capsys):

@@ -218,6 +218,19 @@ def test_ladder_reraises_when_nothing_computed():
         converge_in_levels(evaluate, start=10, step=4)
 
 
+@pytest.mark.parametrize("start, step, cap", [(10, 4, 5), (0, 4, 60), (10, 0, 60), (10, -4, 60)])
+def test_ladder_rejects_bad_settings_before_evaluating(start, step, cap):
+    calls = []
+
+    def evaluate(M):
+        calls.append(M)
+        raise ConvergenceFailure("synthetic undersized cutoff")
+
+    with pytest.raises(ValueError, match="start"):
+        converge_in_levels(evaluate, start=start, step=step, cap=cap)
+    assert calls == []
+
+
 def test_memory_guard_blocks_oversized_space(monkeypatch):
     import nanojunction.rc as rc_mod
     monkeypatch.setattr(rc_mod, "MAX_RESTRICTED_DIM", 100)
@@ -226,19 +239,20 @@ def test_memory_guard_blocks_oversized_space(monkeypatch):
 
 
 def test_build_and_factorization_hold_one_bordered_array():
-    """Peak memory of a build plus its LU: the bordered buffer and one block.
+    """Peak memory of a build plus its LU: the bordered buffer and one slab.
 
-    Assembly adds each sector-pair block into the (n+1)^2 bordered buffer
-    through one block-sized temporary, and the LU overwrites the buffer; a
-    separate generator matrix or a copy made for the factorization would
-    push the peak well past this bound.
+    Assembly writes one-sided terms on their non-zeros and sandwiches one
+    O(m^3) slab at a time straight into the (n+1)^2 bordered buffer, and the
+    LU overwrites the buffer; a block-sized temporary, a separate generator
+    matrix or a copy made for the factorization would push the peak well
+    past this bound.
     """
     tracemalloc.start()
     try:
-        L = assemble_rcme(regime_params(1), 10)
+        L = assemble_rcme(regime_params(1), 14)
         L.bordered_lu()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    block = max(len(s) for s in L.space.sectors) ** 4
-    assert peak <= 1.25 * 16 * ((L.space.n + 1) ** 2 + block)
+    slab = max(len(s) for s in L.space.sectors) ** 3
+    assert peak <= 1.25 * 16 * ((L.space.n + 1) ** 2 + slab)

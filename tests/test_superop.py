@@ -2,6 +2,8 @@
 import numpy as np
 import pytest
 
+from nanojunction.model import regime_params
+from nanojunction.rc import assemble_rcme
 from nanojunction.superop import (
     ConvergenceFailure,
     Liouvillian,
@@ -56,15 +58,57 @@ def test_vec_roundtrip_charge_sectors():
     assert sp.trace_vec @ sp.vec(rho) == pytest.approx(np.trace(rho))
 
 
+def _kron_reference(space, terms):
+    """Dense per-term assembly: every sector-pair block as one full kron(B, A^T)."""
+    out = np.zeros((space.n, space.n), dtype=complex, order="F")
+    LT = out.T
+    eye = np.eye(space.dim, dtype=complex)
+    for t in terms:
+        A = eye if t.left is None else t.left
+        B = eye if t.right is None else t.right
+        for sa, offa in zip(space.sectors, space.offsets):
+            ma = len(sa)
+            for sc, offc in zip(space.sectors, space.offsets):
+                mc = len(sc)
+                Ablk = A[np.ix_(sa, sc)]
+                Bblk = B[np.ix_(sc, sa)]
+                if not (Ablk.any() and Bblk.any()):
+                    continue
+                blk = np.multiply(Bblk[:, None, :, None], Ablk.T[None, :, None, :], order="C")
+                blk *= t.coef
+                LT[offc : offc + mc * mc, offa : offa + ma * ma] += blk.reshape(mc * mc, ma * ma)
+    return out
+
+
+def _random_matrix(rng, d):
+    return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+
+
 def test_term_block_matches_sandwich():
     rng = np.random.default_rng(2)
     sp = Space.full(4)
-    for _ in range(20):
-        A = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        B = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        rho = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    for left, right in [(True, True), (True, False), (False, True)] * 20:
+        A = _random_matrix(rng, 4) if left else None
+        B = _random_matrix(rng, 4) if right else None
+        rho = _random_matrix(rng, 4)
         t = TaggedTerm(0.7 - 0.2j, left=A, right=B)
         assert np.allclose(sp.devec(assemble(sp, [t]) @ sp.vec(rho)), t.apply(rho))
+
+
+def test_assembly_is_bit_identical_to_full_kron_blocks():
+    """Writing one-sided terms on their non-zeros and sandwiches slab by slab
+    skips only exact zeros, so every entry must match the dense blocks' bits."""
+    rng = np.random.default_rng(9)
+    sp = Space([0, 1, 1, 2, 1, 0])
+    terms = [TaggedTerm(0.3 - 0.1j),
+             TaggedTerm(-0.7j, left=_random_matrix(rng, 6)),
+             TaggedTerm(1.1, right=_random_matrix(rng, 6)),
+             TaggedTerm(0.4 + 0.9j, left=_random_matrix(rng, 6), right=_random_matrix(rng, 6)),
+             TaggedTerm(-2.0, left=_random_matrix(rng, 6)),
+             TaggedTerm(0.5j, right=_random_matrix(rng, 6))]
+    assert np.array_equal(assemble(sp, terms), _kron_reference(sp, terms))
+    L = assemble_rcme(regime_params(1, lam=1000.0), 6)
+    assert np.array_equal(assemble(L.space, L.terms), _kron_reference(L.space, L.terms))
 
 
 def test_sector_assembly_matches_full_space():
