@@ -17,8 +17,7 @@ voltage.
 
 __version__ = "0.1.0"
 
-from .fcs import Cumulants, OracleError, counting_field_oracle, cumulants
-from .fcs import mean_current, zero_frequency_noise
+from .fcs import Cumulants, cumulants, mean_current, zero_frequency_noise
 from .model import ElectronicBasis, ModelParams, SpectralDensity
 from .model import bose, drude_lorentz, fermi, regime_params
 from .rc import AugmentedSystem, LadderCertificate, RcParams
@@ -36,13 +35,12 @@ from .wcme import RedfieldHalfTransform, assemble_wcme
 __all__ = [
     "AugmentedSystem", "BracketError", "ConvergenceFailure", "Cumulants",
     "ElectronicBasis", "LadderCertificate", "Liouvillian", "ModelParams",
-    "NonUniqueSteadyState", "NotAnEngine", "OracleError", "RcParams",
-    "RedfieldHalfTransform", "Space", "SpectralDensity", "SteadyState",
-    "TaggedTerm", "TransportReport", "assemble_arcme", "assemble_rcme",
-    "assemble_wcme", "bose", "build_augmented_hamiltonian", "build_generator",
-    "carnot_efficiency", "converge_current", "converge_in_levels",
-    "counting_field_oracle", "cumulants", "drude_lorentz", "efficiency",
-    "energy_currents", "fermi", "mean_current", "rc_map", "regime_params",
-    "restricted_pseudo_inverse_apply", "steady_state", "stopping_voltage",
-    "transport_report", "zero_frequency_noise",
+    "NonUniqueSteadyState", "NotAnEngine", "RcParams", "RedfieldHalfTransform",
+    "Space", "SpectralDensity", "SteadyState", "TaggedTerm", "TransportReport",
+    "assemble_arcme", "assemble_rcme", "assemble_wcme", "bose",
+    "build_augmented_hamiltonian", "build_generator", "carnot_efficiency",
+    "converge_current", "converge_in_levels", "cumulants", "drude_lorentz",
+    "efficiency", "energy_currents", "fermi", "mean_current", "rc_map",
+    "regime_params", "restricted_pseudo_inverse_apply", "steady_state",
+    "stopping_voltage", "transport_report", "zero_frequency_noise",
 ]

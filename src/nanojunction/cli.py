@@ -8,7 +8,9 @@ Either an INI config, command-line flags, or both (flags win)::
 
 The INI sections are ``[sweep]`` (method, regime, sweep, from, to, points,
 log, out, workers), ``[rc]`` (levels, auto, start, step, tol, cap) and
-``[model]`` (overrides for any model parameter field).
+``[model]`` (overrides for any model parameter field).  An unknown section
+or key, a value that does not parse (``log = maybe``) and an invalid regime
+or ``[model]`` value all exit 2 before anything is solved.
 
 Every (method, grid point) pair becomes one CSV row; rows for points whose
 solve fails keep their input columns, leave the outputs empty and are logged
@@ -76,8 +78,6 @@ class SweepSpec:
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r} (choose from {METHODS})")
-        if self.regime not in (1, 2):
-            raise ValueError("regime must be 1 or 2")
         if self.swept not in SWEPT:
             raise ValueError(f"sweep variable must be one of {SWEPT}")
         if self.points < 1:
@@ -89,14 +89,15 @@ class SweepSpec:
         if self.swept == "M" and self.grid().min() < 1:
             raise ValueError("Fock truncations M must be at least 1")
         rc = self.rc
-        if min(rc.levels, rc.start, rc.step) < 1 or rc.cap < rc.start:
-            raise ValueError("rc levels, start and step must be at least 1 "
-                             "and cap at least start")
+        if min(rc.levels, rc.start, rc.step) < 1 or rc.cap < rc.start or rc.tol <= 0:
+            raise ValueError("rc levels, start and step must be at least 1, "
+                             "cap at least start and tol positive")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
         for k in self.model:
             if k not in MODEL_FIELDS:
                 raise ValueError(f"unknown model parameter {k!r}")
+        regime_params(self.regime, **self.model)  # bad regime or model values
 
     def grid(self) -> np.ndarray:
         if self.log:
@@ -120,34 +121,25 @@ def _fmt(x) -> str:
     return "" if x is None else format(float(x), ".17g")
 
 
-def report_row(rep: TransportReport) -> list:
-    p = rep.params
-    return [rep.method, str(rep.regime), _fmt(p.lam), _fmt(p.V), _fmt(p.beta_L),
-            _fmt(p.beta_R), _fmt(p.beta_ph),
-            "" if rep.M is None else str(rep.M),
-            _fmt(rep.c1), _fmt(rep.c2), _fmt(rep.upsilon), _fmt(rep.P),
-            _fmt(rep.IE_L), _fmt(rep.IE_R), _fmt(rep.IE_ph), _fmt(rep.Q_in),
-            _fmt(rep.eta), _fmt(rep.eta_carnot),
-            "true" if rep.converged else "false", _fmt(rep.residual)]
+def _row(spec: SweepSpec, method: str, p, M, rep: TransportReport | None = None) -> list:
+    """One CSV row; without a report (a failed point) the outputs stay empty.
 
-
-def _failure_row(spec: SweepSpec, method: str, p, M) -> list:
-    if p is None:      # the grid value itself was rejected
-        inputs = [""] * 5
-    else:
-        inputs = [_fmt(p.lam), _fmt(p.V), _fmt(p.beta_L), _fmt(p.beta_R),
-                  _fmt(p.beta_ph)]
-    row = [method, str(spec.regime)] + inputs + ["" if M is None else str(M)]
-    row += [""] * 10
-    row += ["false", ""]
+    ``p`` is None when the grid value itself was rejected.
+    """
+    row = [method, str(spec.regime)]
+    row += [_fmt(None if p is None else getattr(p, a))
+            for a in ("lam", "V", "beta_L", "beta_R", "beta_ph")]
+    row.append("" if M is None else str(M))
+    for col in COLUMNS[8:]:
+        v = None if rep is None else getattr(rep, col)
+        row.append(("true" if v else "false") if col == "converged" else _fmt(v))
     return row
 
 
 def _solve_point(task) -> tuple:
     """Worker for one (method, grid value) pair; never raises."""
     spec, method, x = task
-    p = None
-    M = None
+    p = M = None
     converged = True
     try:
         p = point_params(spec, x)
@@ -162,10 +154,10 @@ def _solve_point(task) -> tuple:
             else:
                 M = spec.rc.levels
         rep = transport_report(p, method, spec.regime, M=M, converged=converged)
-        return report_row(rep), None
+        return _row(spec, method, p, M, rep), None
     except Exception as exc:  # logged per point; the sweep must go on
         msg = f"{method} at {spec.swept}={x:.8g}: {type(exc).__name__}: {exc}"
-        return _failure_row(spec, method, p, M), msg
+        return _row(spec, method, p, M), msg
 
 
 def run_sweep(spec: SweepSpec):
@@ -191,100 +183,89 @@ def write_csv(path: str, rows) -> None:
 def write_manifest(path: str, spec: SweepSpec, elapsed: float, failed: int) -> None:
     manifest = {
         "parameters": asdict(spec),
-        "versions": {
-            "python": sys.version.split()[0],
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-            "nanojunction": __version__,
-        },
-        "timings": {
-            "total_seconds": elapsed,
-            "points": len(spec.methods) * spec.points,
-            "failed_points": failed,
-        },
+        "versions": {"python": sys.version.split()[0], "numpy": np.__version__,
+                     "scipy": scipy.__version__, "nanojunction": __version__},
+        "timings": {"total_seconds": elapsed, "failed_points": failed,
+                    "points": len(spec.methods) * spec.points},
     }
     with open(path, "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
 
 
+def _methods(text: str) -> tuple:
+    return tuple(m.strip() for m in text.split(",") if m.strip())
+
+
+def _bool(text: str) -> bool:
+    return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+
+
+# {section: {INI key: (field, parse)}}; [sweep] fields are SweepSpec's and the
+# argparse dests of their flags, [rc] fields RcSettings' (flags --rc-<field>)
+SETTINGS = {
+    "sweep": {"method": ("methods", _methods), "regime": ("regime", int),
+              "sweep": ("swept", str), "from": ("start", float),
+              "to": ("stop", float), "points": ("points", int),
+              "log": ("log", _bool), "out": ("out", str),
+              "workers": ("workers", int)},
+    "rc": {"levels": ("levels", int), "auto": ("auto", _bool),
+           "start": ("start", int), "step": ("step", int),
+           "tol": ("tol", float), "cap": ("cap", int)},
+    "model": {name: (name, float) for name in MODEL_FIELDS},
+}
 _REQUIRED = ("methods", "regime", "swept", "start", "stop", "points")
 
 
 def _spec_from_sources(args) -> SweepSpec:
     """Merge INI config (if any) under the command-line flags."""
-    values: dict = {}
-    rc = RcSettings()
-    model: dict = {}
-    if args.config is not None:
-        cfg = configparser.ConfigParser()
-        cfg.optionxform = str      # model keys like beta_R are case-sensitive
-        with open(args.config) as f:
+    flags = dict(vars(args))   # only the flags given: the parser suppresses defaults
+    cfg = configparser.ConfigParser()
+    cfg.optionxform = str      # model keys like beta_R are case-sensitive
+    if "config" in flags:
+        with open(flags.pop("config")) as f:
             cfg.read_file(f)
-        if cfg.has_section("sweep"):
-            s = cfg["sweep"]
-            if "method" in s:
-                values["methods"] = tuple(m.strip() for m in s["method"].split(",") if m.strip())
-            for key, conv in (("regime", s.getint), ("points", s.getint),
-                              ("workers", s.getint)):
-                if key in s:
-                    values[key] = conv(key)
-            for key, dest in (("sweep", "swept"), ("out", "out")):
-                if key in s:
-                    values[dest] = s[key]
-            for key, dest in (("from", "start"), ("to", "stop")):
-                if key in s:
-                    values[dest] = s.getfloat(key)
-            if "log" in s:
-                values["log"] = s.getboolean("log")
-        if cfg.has_section("rc"):
-            r = cfg["rc"]
-            rc = RcSettings(levels=r.getint("levels", rc.levels),
-                            auto=r.getboolean("auto", rc.auto),
-                            start=r.getint("start", rc.start),
-                            step=r.getint("step", rc.step),
-                            tol=r.getfloat("tol", rc.tol),
-                            cap=r.getint("cap", rc.cap))
-        if cfg.has_section("model"):
-            model = {k: cfg["model"].getfloat(k) for k in cfg["model"]}
-    if args.method is not None:
-        values["methods"] = tuple(m.strip() for m in args.method.split(",") if m.strip())
-    for attr, dest in (("regime", "regime"), ("swept", "swept"), ("from_", "start"),
-                       ("to", "stop"), ("points", "points"), ("out", "out"),
-                       ("workers", "workers")):
-        v = getattr(args, attr)
-        if v is not None:
-            values[dest] = v
-    if args.log:
-        values["log"] = True
-    if args.rc_levels is not None:
-        rc = replace(rc, levels=args.rc_levels)
-    if args.rc_auto:
-        rc = replace(rc, auto=True)
-    missing = [k for k in _REQUIRED if k not in values]
+    values = {section: {} for section in SETTINGS}
+    for section in cfg.sections():
+        if section not in SETTINGS:
+            raise ValueError(f"unknown section [{section}]")
+        for key, text in cfg[section].items():
+            if key not in SETTINGS[section]:
+                raise ValueError(f"unknown key {key!r} in [{section}]")
+            dest, parse = SETTINGS[section][key]
+            try:
+                values[section][dest] = parse(text)
+            except (ValueError, KeyError):
+                raise ValueError(f"bad value {text!r} for {key!r} in [{section}]") from None
+    for dest, v in flags.items():
+        section, name = ("rc", dest[3:]) if dest.startswith("rc_") else ("sweep", dest)
+        values[section][name] = v
+    missing = [k for k in _REQUIRED if k not in values["sweep"]]
     if missing:
         raise ValueError(f"missing required settings: {', '.join(missing)}")
-    spec = SweepSpec(rc=rc, model=model, **values)
+    spec = SweepSpec(rc=RcSettings(**values["rc"]), model=values["model"],
+                     **values["sweep"])
     spec.validate()
     return spec
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
-        prog="nanojunction",
+        prog="nanojunction", argument_default=argparse.SUPPRESS,
         description="Steady-state transport sweeps for the two-site junction.")
-    ap.add_argument("config", nargs="?", default=None,
+    ap.add_argument("config", nargs="?",
                     help="INI file with [sweep], [rc], [model] sections")
-    ap.add_argument("--method", help=f"comma-separated subset of {','.join(METHODS)}")
+    ap.add_argument("--method", dest="methods", type=_methods,
+                    help=f"comma-separated subset of {','.join(METHODS)}")
     ap.add_argument("--regime", type=int, help="1 (hot left lead) or 2 (hot phonons)")
     ap.add_argument("--sweep", dest="swept", choices=SWEPT, help="swept variable")
-    ap.add_argument("--from", dest="from_", type=float, help="first grid value")
-    ap.add_argument("--to", type=float, help="last grid value (inclusive)")
+    ap.add_argument("--from", dest="start", type=float, help="first grid value")
+    ap.add_argument("--to", dest="stop", type=float, help="last grid value (inclusive)")
     ap.add_argument("--points", type=int, help="number of grid points")
-    ap.add_argument("--log", action="store_true", default=None,
+    ap.add_argument("--log", action="store_true",
                     help="logarithmic grid instead of linear")
     ap.add_argument("--rc-levels", type=int, help="fixed Fock truncation M")
-    ap.add_argument("--rc-auto", action="store_true", default=None,
+    ap.add_argument("--rc-auto", action="store_true",
                     help="choose M per point by the convergence ladder")
     ap.add_argument("--out", help="CSV output path (default sweep.csv)")
     ap.add_argument("--workers", type=int, help="parallel worker processes")
@@ -295,7 +276,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         spec = _spec_from_sources(args)
-    except (ValueError, KeyError, OSError, configparser.Error) as exc:
+    except (ValueError, OSError, configparser.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     t0 = time.perf_counter()

@@ -10,28 +10,12 @@ applications against the steady state:
 with R the pseudo-inverse restricted off the stationary direction.  Currents
 are reported in the transport direction (left lead -> system -> right lead
 positive), so left- and right-counted values agree in steady state.
-
-``counting_field_oracle`` recomputes both cumulants from the tilted
-generator L(chi) = L + (e^{i chi}-1) J+ + (e^{-i chi}-1) J- alone: the
-derivative of its dominant eigenvalue is sampled at four small counting
-fields via two-sided inverse iteration and a first-derivative identity, then
-Richardson-extrapolated once.  No pseudo-inverse enters that path, which is
-the point -- it cross-checks the production formulas end to end.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
-import numpy as np
-import scipy.linalg as sla
-
-from .superop import Liouvillian, SteadyState, apply_terms, assemble
-from .superop import restricted_pseudo_inverse_apply, steady_state
-
-
-class OracleError(Exception):
-    """The tilted-generator eigenvalue could not be tracked reliably."""
+from .superop import Liouvillian, SteadyState, apply_terms, restricted_pseudo_inverse_apply
 
 
 def _tags(side: str):
@@ -93,65 +77,3 @@ def cumulants(L: Liouvillian, ss: SteadyState, side: str = "right") -> Cumulants
     if abs(c1) > 1e-12:
         return Cumulants(c1=c1, c2=c2, fano=c2 / abs(c1), upsilon=c2 / c1**2)
     return Cumulants(c1=c1, c2=c2, fano=None, upsilon=None)
-
-
-def _eigenvalue_slope(Lx: np.ndarray, Ip: np.ndarray, Im: np.ndarray, chi: float,
-                      v0: np.ndarray, w0: np.ndarray, iterations: int) -> complex:
-    """-i dlambda/dchi of the tilted generator at finite chi.
-
-    Two-sided inverse iteration from the chi = 0 stationary pair converges on
-    the dominant eigenvalue branch (it stays within O(chi) of zero while the
-    rest of the spectrum keeps its finite gap); the slope then follows from
-    the eigenvalue first-derivative identity without ever differencing
-    eigenvalues.
-    """
-    with warnings.catch_warnings():
-        # an exactly singular tilt shows up as inf/nan in the iteration below,
-        # which we turn into OracleError; no need for the solver to warn first
-        warnings.simplefilter("ignore", sla.LinAlgWarning)
-        lu = sla.lu_factor(Lx, check_finite=False)
-    v = v0 / np.linalg.norm(v0)
-    w = w0 / np.linalg.norm(w0)
-    for _ in range(iterations):
-        v = sla.lu_solve(lu, v, check_finite=False)
-        w = sla.lu_solve(lu, w, trans=2, check_finite=False)
-        nv, nw = np.linalg.norm(v), np.linalg.norm(w)
-        if not (np.isfinite(nv) and np.isfinite(nw)) or nv == 0 or nw == 0:
-            raise OracleError("inverse iteration diverged while tracking the eigenvalue")
-        v /= nv
-        w /= nw
-    denom = w.conj() @ v
-    if abs(denom) < 1e-8:
-        raise OracleError("left/right eigenvectors of the tilted generator collapsed")
-    dL_v = 1j * np.exp(1j * chi) * (Ip @ v) - 1j * np.exp(-1j * chi) * (Im @ v)
-    return -1j * (w.conj() @ dL_v) / denom
-
-
-def counting_field_oracle(L: Liouvillian, ss: SteadyState | None = None,
-                          side: str = "right", h: float = 0.02,
-                          iterations: int = 3):
-    """Recompute (c1, c2) from the tilted generator's eigenvalue alone.
-
-    Samples -i dlambda/dchi at chi = +-h, +-h/2 and Richardson-extrapolates
-    once, which cancels the h^2 truncation terms of both the even (c1) and
-    odd (c2) combinations.  Raises ``OracleError`` when the eigenvalue branch
-    cannot be tracked.
-    """
-    if ss is None:
-        ss = steady_state(L)
-    plus, minus = _tags(side)
-    L0 = assemble(L.space, L.terms)
-    Ip = assemble(L.space, L.tagged(plus))
-    Im = assemble(L.space, L.tagged(minus))
-    t = L.space.trace_vec.astype(complex)
-    g = {}
-    for chi in (h, -h, h / 2, -h / 2):
-        Lx = L0 + (np.exp(1j * chi) - 1.0) * Ip + (np.exp(-1j * chi) - 1.0) * Im
-        g[chi] = _eigenvalue_slope(Lx, Ip, Im, chi, ss.vec, t, iterations)
-    c1_h = 0.5 * (g[h] + g[-h]).real
-    c1_h2 = 0.5 * (g[h / 2] + g[-h / 2]).real
-    c2_h = (g[h] - g[-h]).imag / (2.0 * h)
-    c2_h2 = (g[h / 2] - g[-h / 2]).imag / h
-    c1 = (4.0 * c1_h2 - c1_h) / 3.0
-    c2 = (4.0 * c2_h2 - c2_h) / 3.0
-    return _transport_sign(side) * c1, c2

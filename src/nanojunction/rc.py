@@ -283,9 +283,9 @@ def converge_in_levels(evaluate, start: int = 10, step: int = 4,
     early (unconverged) at the first bounce, where a relative increment
     stops decreasing; the message records where, not why.
     """
-    if start < 1 or step < 1 or cap < start:
-        raise ValueError(f"ladder needs 1 <= start <= cap and step >= 1 "
-                         f"(start={start}, step={step}, cap={cap})")
+    if start < 1 or step < 1 or cap < start or tol <= 0:
+        raise ValueError(f"ladder needs 1 <= start <= cap, step >= 1 and tol > 0 "
+                         f"(start={start}, step={step}, cap={cap}, tol={tol})")
     history = []
     prev_val = None
     prev_inc = None

@@ -107,8 +107,7 @@ def transport_report(p: ModelParams, method: str, regime: int, M: int | None = N
                      basis: ElectronicBasis | None = None,
                      converged: bool = True) -> TransportReport:
     """Solve one operating point and assemble the full report."""
-    if regime not in (1, 2):
-        raise ValueError(f"regime must be 1 or 2, got {regime!r}")
+    eta_c = carnot_efficiency(p, regime)   # rejects a bad regime before any build
     L = build_generator(p, method, M, basis)
     ss = steady_state(L)
     cum = cumulants(L, ss)
@@ -119,7 +118,6 @@ def transport_report(p: ModelParams, method: str, regime: int, M: int | None = N
         eta = efficiency(P, Q_in)
     except NotAnEngine:
         eta = None
-    eta_c = carnot_efficiency(p, regime)
     violated = eta is not None and eta > eta_c + 1e-12
     return TransportReport(params=p, method=method, regime=regime,
                            M=None if method == "wcme" else M,
@@ -131,6 +129,8 @@ def transport_report(p: ModelParams, method: str, regime: int, M: int | None = N
 
 def bisect_root(f, a: float, b: float, tol: float = 1e-8, max_iter: int = 200) -> float:
     """Plain bisection for a decreasing sign change of f on [a, b]."""
+    if tol <= 0:
+        raise ValueError(f"bisection tolerance must be positive, got {tol!r}")
     fa, fb = f(a), f(b)
     if fa <= 0.0:
         raise BracketError(f"f({a}) = {fa:.3e} is not positive at the lower bracket")

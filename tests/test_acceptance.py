@@ -18,7 +18,8 @@ import functools
 import numpy as np
 import pytest
 
-from nanojunction.fcs import counting_field_oracle, cumulants, mean_current
+from counting_oracle import counting_field_oracle
+from nanojunction.fcs import cumulants, mean_current
 from nanojunction.model import ElectronicBasis, ModelParams, regime_params
 from nanojunction.rc import assemble_arcme, assemble_rcme, converge_current
 from nanojunction.superop import Liouvillian, Space, coherent_terms, steady_state

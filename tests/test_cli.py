@@ -1,11 +1,15 @@
 """Sweep driver: config resolution, CSV/manifest output, exit codes."""
+import configparser
 import json
+import re
 
 import numpy as np
 import pytest
 
+from nanojunction import cli
 from nanojunction.cli import (
     COLUMNS,
+    SETTINGS,
     RcSettings,
     SweepSpec,
     build_parser,
@@ -58,6 +62,9 @@ def test_point_params_routes_the_swept_variable():
     dict(rc=RcSettings(start=0)),
     dict(rc=RcSettings(step=0)),
     dict(rc=RcSettings(auto=True, start=12, cap=8)),
+    dict(rc=RcSettings(tol=0.0)),
+    dict(rc=RcSettings(auto=True, tol=-1.0)),
+    dict(model={"beta_R": -1.0}),
 ])
 def test_spec_validation_rejects(bad):
     with pytest.raises(ValueError):
@@ -76,6 +83,7 @@ def test_config_file_merges_under_flags(tmp_path):
         "points = 4\n"
         "log = yes\n"
         "out = run.csv\n"
+        "workers = 2\n"
         "[rc]\n"
         "levels = 6\n"
         "[model]\n"
@@ -91,6 +99,29 @@ def test_config_file_merges_under_flags(tmp_path):
     assert spec.out == "run.csv"
     assert spec.rc == RcSettings(levels=6)
     assert spec.model == {"beta_R": 0.9}
+    assert (spec.regime, spec.swept, spec.workers) == (2, "lambda", 2)
+
+    # every [sweep] key, set in the file and overridden by its flag
+    ini.write_text(ini.read_text().replace("log = yes", "log = no"))
+    cfg = configparser.ConfigParser()
+    cfg.read(ini)
+    assert set(cfg["sweep"]) == set(SETTINGS["sweep"])
+    assert not _spec_from_sources(build_parser().parse_args([str(ini)])).log
+    args = build_parser().parse_args([
+        str(ini), "--method", "arcme,wcme", "--regime", "1", "--sweep", "V",
+        "--from", "0.5", "--to", "0.7", "--points", "3", "--log",
+        "--out", "flag.csv", "--workers", "3"])
+    spec = _spec_from_sources(args)
+    assert (spec.methods, spec.regime, spec.swept, spec.start, spec.stop,
+            spec.points, spec.log, spec.out, spec.workers) == (
+        ("arcme", "wcme"), 1, "V", 0.5, 0.7, 3, True, "flag.csv", 3)
+    assert spec.rc == RcSettings(levels=6) and spec.model == {"beta_R": 0.9}
+
+
+def test_docstring_lists_every_sweep_and_rc_key():
+    for section in ("sweep", "rc"):
+        listed = re.search(rf"``\[{section}\]`` \(([^)]*)\)", cli.__doc__).group(1)
+        assert {k.strip() for k in listed.split(",")} == set(SETTINGS[section])
 
 
 def test_flags_alone_are_sufficient(tmp_path):
@@ -175,7 +206,7 @@ def test_manifest_records_environment(tmp_path):
     assert manifest["timings"]["failed_points"] == 0
 
 
-def test_bad_invocations_exit_2(tmp_path):
+def test_bad_invocations_exit_2(tmp_path, capsys):
     assert main([]) == 2                                  # nothing specified
     assert main(["--method", "secular", "--regime", "2", "--sweep", "V",
                  "--from", "0", "--to", "1", "--points", "2"]) == 2
@@ -190,6 +221,16 @@ def test_bad_invocations_exit_2(tmp_path):
     ini = tmp_path / "ladder.ini"
     ini.write_text("[rc]\nauto = true\nstart = 12\ncap = 8\n")
     assert main([str(ini)] + bias) == 2
+    for text, named in [("[rc]\nlevls = 4\n", "'levls'"),
+                        ("[modle]\nlam = 3\n", "[modle]"),
+                        ("[sweep]\nlog = maybe\n", "'log'"),
+                        ("[rc]\nauto = true\ntol = -1\n", "tol"),
+                        ("[model]\nbeta_R = -1\n", "inverse temperatures")]:
+        ini.write_text(text)
+        capsys.readouterr()
+        assert main([str(ini)] + bias) == 2, text
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "b.csv").exists()          # no point was solved
 
 
 def test_unsolvable_points_fail_soft(tmp_path, capsys):

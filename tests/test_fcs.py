@@ -9,11 +9,9 @@ land on them to full precision.
 import numpy as np
 import pytest
 
+from counting_oracle import OracleError, _eigenvalue_slope, counting_field_oracle
 from nanojunction.fcs import (
     Cumulants,
-    OracleError,
-    _eigenvalue_slope,
-    counting_field_oracle,
     cumulants,
     mean_current,
     zero_frequency_noise,

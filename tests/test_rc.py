@@ -218,8 +218,15 @@ def test_ladder_reraises_when_nothing_computed():
         converge_in_levels(evaluate, start=10, step=4)
 
 
-@pytest.mark.parametrize("start, step, cap", [(10, 4, 5), (0, 4, 60), (10, 0, 60), (10, -4, 60)])
-def test_ladder_rejects_bad_settings_before_evaluating(start, step, cap):
+@pytest.mark.parametrize("start, step, cap, tol", [
+    pytest.param(10, 4, 5, 1e-6, id="10-4-5"),
+    pytest.param(0, 4, 60, 1e-6, id="0-4-60"),
+    pytest.param(10, 0, 60, 1e-6, id="10-0-60"),
+    pytest.param(10, -4, 60, 1e-6, id="10--4-60"),
+    (10, 4, 60, 0.0),
+    (10, 4, 60, -1.0),
+])
+def test_ladder_rejects_bad_settings_before_evaluating(start, step, cap, tol):
     calls = []
 
     def evaluate(M):
@@ -227,7 +234,7 @@ def test_ladder_rejects_bad_settings_before_evaluating(start, step, cap):
         raise ConvergenceFailure("synthetic undersized cutoff")
 
     with pytest.raises(ValueError, match="start"):
-        converge_in_levels(evaluate, start=start, step=step, cap=cap)
+        converge_in_levels(evaluate, start=start, step=step, cap=cap, tol=tol)
     assert calls == []
 
 

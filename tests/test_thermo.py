@@ -9,6 +9,7 @@ it pins the Carnot bound eta_C = 0.9 for both hot-resource configurations.
 import numpy as np
 import pytest
 
+from nanojunction import thermo
 from nanojunction.model import ModelParams, regime_params
 from nanojunction.rc import converge_current
 from nanojunction.thermo import (
@@ -139,6 +140,21 @@ def test_bad_regime_is_rejected_before_any_build():
     # building H' can raise the ValueError
     with pytest.raises(ValueError, match="regime"):
         transport_report(regime_params(1), "rcme", 3, M=60)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0])
+def test_nonpositive_stopping_tolerance_is_rejected_before_any_build(monkeypatch, tol):
+    builds = []
+    real_build = thermo.build_generator
+
+    def counting_build(*args, **kwargs):
+        builds.append(args)
+        return real_build(*args, **kwargs)
+
+    monkeypatch.setattr(thermo, "build_generator", counting_build)
+    with pytest.raises(ValueError, match="tolerance"):
+        stopping_voltage(regime_params(2), "wcme", tol=tol)
+    assert builds == []
 
 
 def test_bisection_on_closed_form():
