@@ -14,9 +14,13 @@ straight into its bordered LU buffer; its certificates apply them matrix-free.
 A one-sided term (A rho or rho B) is written only on the m^3 non-zeros of its
 m^2 x m^2 sector block, a sandwich one O(m^3) slab at a time, so assembly
 holds no block-sized temporary.
+
+Importing this module sets NumPy's bundled OpenBLAS to one thread when SciPy
+links its own, so that NumPy's idle workers do not spin on the LU's cores.
 """
 from __future__ import annotations
 
+import ctypes
 import warnings
 from dataclasses import dataclass, field
 
@@ -24,6 +28,31 @@ import numpy as np
 import scipy.linalg as sla
 
 TAGS = ("none", "right_lead_plus", "right_lead_minus", "left_lead_plus", "left_lead_minus")
+_OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                     "scipy_openblas_set_num_threads", "openblas_set_num_threads")
+
+
+def _pin_numpy_blas(numpy_ext: str, scipy_ext: str) -> None:
+    """Give NumPy's OpenBLAS one thread if SciPy's extension links another one.
+
+    A shared OpenBLAS, another BLAS or a library that cannot be opened leaves
+    both pools alone; SciPy's pool, which runs the LU, is never changed.
+    """
+    setters = []
+    for path in (numpy_ext, scipy_ext):
+        try:
+            lib = ctypes.CDLL(path)   # dlsym searches the extension's dependencies
+        except OSError:
+            return
+        setter = next((getattr(lib, s) for s in _OPENBLAS_SETTERS if hasattr(lib, s)), None)
+        if setter is None:
+            return
+        setters.append(ctypes.cast(setter, ctypes.c_void_p).value)
+    if setters[0] != setters[1]:   # void openblas_set_num_threads(int)
+        ctypes.CFUNCTYPE(None, ctypes.c_int)(setters[0])(1)
+
+
+_pin_numpy_blas(np.linalg._umath_linalg.__file__, sla._flapack.__file__)
 
 
 class NonUniqueSteadyState(Exception):

@@ -1,7 +1,16 @@
 """Vectorization, blockwise assembly and the steady-state solve certificate."""
+import ctypes
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.linalg
 
+import nanojunction
 from nanojunction.model import regime_params
 from nanojunction.rc import assemble_rcme
 from nanojunction.superop import (
@@ -229,3 +238,42 @@ def test_residual_tolerance_enforced():
     L = _random_ergodic(rng, 3)
     with pytest.raises(ConvergenceFailure):
         steady_state(L, tol=1e-30)
+
+
+# Both pools' thread counts, read through the extension modules that link them
+# (the getters of the OpenBLAS builds bundled in the NumPy and SciPy wheels).
+_READ_POOLS = """
+import ctypes, json
+import numpy.linalg._umath_linalg as np_ext, scipy.linalg._flapack as sp_ext
+{setup}
+print(json.dumps([ctypes.CDLL(np_ext.__file__).scipy_openblas_get_num_threads64_(),
+                  ctypes.CDLL(sp_ext.__file__).scipy_openblas_get_num_threads()]))
+"""
+
+
+def _pool_threads(setup: str) -> list:
+    """[NumPy's, SciPy's] OpenBLAS threads in a fresh process started with 2."""
+    np_lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    sp_lib = ctypes.CDLL(scipy.linalg._flapack.__file__)
+    if not (hasattr(np_lib, "scipy_openblas_get_num_threads64_")
+            and hasattr(sp_lib, "scipy_openblas_get_num_threads")):
+        pytest.skip("NumPy and SciPy do not bundle their own OpenBLAS builds")
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("a 2-thread pool needs 2 cores")
+    src = str(Path(nanojunction.__file__).parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-c", _READ_POOLS.format(setup=setup)],
+                         env=env, capture_output=True, text=True, check=True)
+    return json.loads(res.stdout.splitlines()[-1])
+
+
+def test_import_gives_numpy_blas_one_thread_and_keeps_scipy_pool():
+    assert _pool_threads("import nanojunction") == [1, 2]
+
+
+def test_shared_openblas_keeps_its_threads():
+    # one library passed for both sides stands for a shared system OpenBLAS
+    setup = ("from nanojunction.superop import _pin_numpy_blas\n"
+             "_pin_numpy_blas(sp_ext.__file__, sp_ext.__file__)")
+    assert _pool_threads(setup)[1] == 2
