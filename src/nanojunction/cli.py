@@ -18,6 +18,11 @@ to stderr without aborting the sweep.  A JSON manifest with the resolved
 parameters, library versions and wall-clock timings is written next to the
 CSV.  Exit status: 0 completed (even with some failed points), 1 nothing
 succeeded or output could not be written, 2 bad usage or config.
+
+``--workers N`` solves the points in N processes, and each runs SciPy's
+full BLAS pool for its LU, so keep workers x BLAS threads <= cores (for
+example ``OPENBLAS_NUM_THREADS=1`` with ``--workers N``).  Oversubscribed,
+``--workers 2`` on 2 cores is slower than one worker.
 """
 from __future__ import annotations
 
@@ -268,7 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--rc-auto", action="store_true",
                     help="choose M per point by the convergence ladder")
     ap.add_argument("--out", help="CSV output path (default sweep.csv)")
-    ap.add_argument("--workers", type=int, help="parallel worker processes")
+    ap.add_argument("--workers", type=int, help="parallel worker processes, each with "
+                    "SciPy's full BLAS pool: keep workers x BLAS threads <= cores")
     return ap
 
 

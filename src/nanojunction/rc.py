@@ -3,8 +3,12 @@
 The peaked Drude-Lorentz environment is mapped exactly onto a single bosonic
 mode (frequency Omega = omega0, coupling kappa = sqrt(lam * omega0)) that is
 absorbed into the system Hamiltonian, plus a residual Ohmic bath
-J_res(nu) = gamma * nu / (2 pi omega0) that is treated at second order.  Two
-generators are built on the augmented space:
+J_res(nu) = gamma * nu / (2 pi omega0) that is treated at second order
+(Strasberg et al., New J. Phys. 18, 073007 (2016)).  The three numbers come
+straight from ``ModelParams`` (lam, omega0, gamma); only the Fock cutoff M
+is added.  H' is diagonalized charge sector by charge sector of the product
+basis, and that one ``Space`` is also the restricted space of the generators.
+Two generators are built on the augmented space:
 
 * ``assemble_rcme``: leads filtered at the transition frequencies of the full
   augmented Hamiltonian (lead and phonon effects are non-additive);
@@ -21,6 +25,7 @@ of an observable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -35,7 +40,6 @@ from .model import (
 from .superop import ConvergenceFailure, Liouvillian, Space, TaggedTerm
 from .superop import coherent_terms, steady_state
 from .wcme import (
-    RedfieldHalfTransform,
     assemble_wcme,
     bose_half,
     bosonic_dissipator_terms,
@@ -53,42 +57,9 @@ METHODS = ("wcme", "rcme", "arcme")
 MAX_RESTRICTED_DIM = 9000
 
 
-@dataclass(frozen=True)
-class RcParams:
-    """Reaction-coordinate mode parameters and Fock truncation.
-
-    The mode must carry the full reorganisation energy of the mapped
-    environment: kappa^2 = lambda_shift * Omega is enforced on construction.
-    """
-
-    Omega: float
-    kappa: float
-    M: int
-    lambda_shift: float
-    gamma: float
-
-    def __post_init__(self):
-        if self.M < 1:
-            raise ValueError("Fock truncation M must be at least 1")
-        if self.Omega <= 0 or self.gamma <= 0:
-            raise ValueError("mode frequency and residual coupling must be positive")
-        target = self.lambda_shift * self.Omega
-        if abs(self.kappa**2 - target) > 1e-6 * max(abs(target), 1e-12):
-            raise ValueError("kappa^2 must equal lambda_shift * Omega")
-
-    def residual_density(self, nu):
-        """Residual bath spectral density gamma * nu / (2 pi Omega)."""
-        return self.gamma * np.asarray(nu, dtype=float) / (2.0 * np.pi * self.Omega)
-
-    @property
-    def residual_slope0(self) -> float:
-        return self.gamma / (2.0 * np.pi * self.Omega)
-
-
-def rc_map(p: ModelParams, M: int) -> RcParams:
-    """Map the Drude-Lorentz parameters onto the reaction-coordinate mode."""
-    return RcParams(Omega=p.omega0, kappa=np.sqrt(p.lam * p.omega0), M=M,
-                    lambda_shift=p.lam, gamma=p.gamma)
+def residual_density(p: ModelParams, nu):
+    """Residual Ohmic bath J_res(nu) = gamma * nu / (2 pi omega0) of the mapping."""
+    return p.gamma * np.asarray(nu, dtype=float) / (2.0 * np.pi * p.omega0)
 
 
 def ladder_op(M: int) -> np.ndarray:
@@ -96,41 +67,23 @@ def ladder_op(M: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, M)), 1).astype(complex)
 
 
-def _sector_eigh(H: np.ndarray, numbers: np.ndarray):
-    """Eigendecompose a number-conserving H sector by sector.
-
-    Returns eigenvalues, the block-unitary of eigencolumns (grouped by charge
-    sector, ascending within each sector) and the charge per eigencolumn.
-    Per-sector diagonalization keeps every eigenvector at sharp electron
-    number even when eigenvalues collide across sectors.
-    """
-    d = H.shape[0]
-    evals = np.empty(d)
-    W = np.zeros((d, d), dtype=complex)
-    eigen_numbers = np.empty(d, dtype=int)
-    col = 0
-    for v in np.unique(numbers):
-        idx = np.flatnonzero(numbers == v)
-        w, U = np.linalg.eigh(H[np.ix_(idx, idx)])
-        m = len(idx)
-        evals[col : col + m] = w
-        W[idx, col : col + m] = U
-        eigen_numbers[col : col + m] = v
-        col += m
-    return evals, W, eigen_numbers
-
-
 @dataclass
 class AugmentedSystem:
-    """System + reaction coordinate, diagonalized charge sector by sector."""
+    """System + reaction coordinate (Omega = omega0, kappa = sqrt(lam * omega0)).
 
-    rc: RcParams
+    H' lives on the product basis (electronic kron Fock), whose charge
+    sectors ``space`` partitions.  It is diagonalized sector by sector, and
+    each sector's eigencolumns sit at that sector's own positions, so every
+    eigenvector has a sharp electron number and ``space`` is also the
+    restricted space of both generators built on it.
+    """
+
     basis: ElectronicBasis
-    hamiltonian: np.ndarray          # product basis (electronic kron Fock)
-    numbers: np.ndarray              # electron count per product index
-    evals: np.ndarray                # sector-grouped eigenvalues
-    modes: np.ndarray = field(repr=False)  # eigencolumns, same grouping
-    eigen_numbers: np.ndarray = None  # electron count per eigencolumn
+    M: int                           # Fock cutoff
+    hamiltonian: np.ndarray          # product basis
+    space: Space                     # charge sectors of the product basis
+    evals: np.ndarray                # eigenvalue per eigencolumn
+    modes: np.ndarray = field(repr=False)  # eigencolumns, block-unitary
     residual: float = 0.0            # max |H W - W diag(evals)|
 
     @property
@@ -143,77 +96,71 @@ class AugmentedSystem:
 
     def lift(self, A: np.ndarray) -> np.ndarray:
         """Embed an electronic operator, A kron identity, into the eigenbasis."""
-        return self.rotate(np.kron(A, np.eye(self.rc.M)))
+        return self.rotate(np.kron(A, np.eye(self.M)))
 
 
 def build_augmented_hamiltonian(p: ModelParams, M: int,
                                 basis: ElectronicBasis | None = None) -> AugmentedSystem:
     """H' = H_el + lam s^2 + kappa s (a + a^dag) + Omega a^dag a, diagonalized."""
+    if M < 1:
+        raise ValueError(f"Fock truncation M must be at least 1, got {M}")
     if basis is None:
         basis = ElectronicBasis(project_out_double=True)
-    rc = rc_map(p, M)
     Hel = build_system_hamiltonian(p, basis)
     s = build_phonon_coupling_op(basis)
     a = ladder_op(M)
     x = a + a.conj().T
     eye_f = np.eye(M, dtype=complex)
-    Hp = (np.kron(Hel + rc.lambda_shift * (s @ s), eye_f)
-          + rc.kappa * np.kron(s, x)
-          + rc.Omega * np.kron(np.eye(basis.dim, dtype=complex), a.conj().T @ a))
-    numbers = np.repeat(basis.electron_numbers, M)
-    evals, W, eigen_numbers = _sector_eigh(Hp, numbers)
+    Hp = (np.kron(Hel + p.lam * (s @ s), eye_f)
+          + np.sqrt(p.lam * p.omega0) * np.kron(s, x)
+          + p.omega0 * np.kron(np.eye(basis.dim, dtype=complex), a.conj().T @ a))
+    space = Space(np.repeat(basis.electron_numbers, M))
+    evals = np.empty(Hp.shape[0])
+    W = np.zeros_like(Hp)
+    for idx in space.sectors:
+        evals[idx], W[np.ix_(idx, idx)] = np.linalg.eigh(Hp[np.ix_(idx, idx)])
     residual = float(np.max(np.abs(Hp @ W - W * evals)))
     if residual > 1e-9:
         raise ConvergenceFailure(f"augmented eigendecomposition residual {residual:.3e}")
-    return AugmentedSystem(rc=rc, basis=basis, hamiltonian=Hp, numbers=numbers,
-                           evals=evals, modes=W, eigen_numbers=eigen_numbers,
-                           residual=residual)
+    return AugmentedSystem(basis=basis, M=M, hamiltonian=Hp, space=space,
+                           evals=evals, modes=W, residual=residual)
 
 
-@dataclass(frozen=True)
-class RateOperators:
-    """Eigenbasis coupling operators feeding the augmented dissipators."""
+def build_rate_operators(aug: AugmentedSystem, p: ModelParams):
+    """Lifted lead operators (A_left, A_right) and the residual-bath terms.
 
-    A_left: np.ndarray               # removes an electron into the left lead
-    A_right: np.ndarray              # removes an electron into the right lead
-    position: np.ndarray             # RC displacement a + a^dag, lifted
-    residual_half: RedfieldHalfTransform  # filtered residual-bath pair
-
-
-def build_rate_operators(aug: AugmentedSystem, p: ModelParams) -> RateOperators:
-    """Lift and rotate the coupling operators; filter the residual bath."""
+    A_left / A_right remove an electron into the left / right lead; the
+    residual bath couples to the RC displacement a + a^dag.
+    """
     A1, A3 = build_lead_coupling_ops(aug.basis)
-    a = ladder_op(aug.rc.M)
+    a = ladder_op(aug.M)
     B = aug.rotate(np.kron(np.eye(aug.basis.dim, dtype=complex), a + a.conj().T))
-    half = bose_half(B, aug.evals, aug.rc.residual_density,
-                     aug.rc.residual_slope0, p.beta_ph)
-    return RateOperators(A_left=aug.lift(A1), A_right=aug.lift(A3),
-                         position=B, residual_half=half)
+    chi, phi = bose_half(B, aug.evals, partial(residual_density, p),
+                         p.gamma / (2.0 * np.pi * p.omega0), p.beta_ph)
+    return aug.lift(A1), aug.lift(A3), bosonic_dissipator_terms(B, chi, phi)
 
 
 def _augmented_parts(p: ModelParams, M: int, basis: ElectronicBasis | None):
-    """What both RC generators share: H', its guarded space, rate operators."""
+    """What both RC generators share: guarded H', rate operators, diag(evals)."""
     aug = build_augmented_hamiltonian(p, M, basis)
-    space = Space(aug.eigen_numbers)
-    if space.n > MAX_RESTRICTED_DIM:
+    if aug.space.n > MAX_RESTRICTED_DIM:
         raise ConvergenceFailure(
-            f"restricted dimension {space.n} exceeds the dense-solver guard "
-            f"({MAX_RESTRICTED_DIM}); lower the Fock truncation M={aug.rc.M}")
-    ops = build_rate_operators(aug, p)
-    return aug, space, ops, np.diag(aug.evals).astype(complex)
+            f"restricted dimension {aug.space.n} exceeds the dense-solver guard "
+            f"({MAX_RESTRICTED_DIM}); lower the Fock truncation M={M}")
+    return aug, *build_rate_operators(aug, p), np.diag(aug.evals).astype(complex)
 
 
 def assemble_rcme(p: ModelParams, M: int,
                   basis: ElectronicBasis | None = None) -> Liouvillian:
     """Non-additive generator: leads filtered at augmented frequencies."""
-    aug, space, ops, Hd = _augmented_parts(p, M, basis)
+    aug, A_left, A_right, residual_bath, Hd = _augmented_parts(p, M, basis)
     terms = coherent_terms(Hd)
-    terms += build_wcme_lead_dissipator(ops.A_left, aug.evals, p.Gamma_L,
+    terms += build_wcme_lead_dissipator(A_left, aug.evals, p.Gamma_L,
                                         p.beta_L, p.mu_L, "left")
-    terms += build_wcme_lead_dissipator(ops.A_right, aug.evals, p.Gamma_R,
+    terms += build_wcme_lead_dissipator(A_right, aug.evals, p.Gamma_R,
                                         p.beta_R, p.mu_R, "right")
-    terms += bosonic_dissipator_terms(ops.position, ops.residual_half)
-    return Liouvillian(space=space, terms=terms, method="rcme", energy_op=Hd)
+    terms += residual_bath
+    return Liouvillian(space=aug.space, terms=terms, method="rcme", energy_op=Hd)
 
 
 def assemble_arcme(p: ModelParams, M: int,
@@ -224,7 +171,7 @@ def assemble_arcme(p: ModelParams, M: int,
     Hamiltonian and then lifted, so the phonon mode cannot renormalize them.
     Energy bookkeeping stays with the bare electronic energies.
     """
-    aug, space, ops, Hd = _augmented_parts(p, M, basis)
+    aug, _, _, residual_bath, Hd = _augmented_parts(p, M, basis)
     Hel = build_system_hamiltonian(p, aug.basis)
     evals_el = np.diag(Hel).real
     A1, A3 = build_lead_coupling_ops(aug.basis)
@@ -236,8 +183,8 @@ def assemble_arcme(p: ModelParams, M: int,
                         tag=t.tag, bath=t.bath)
              for t in bare]
     terms += coherent_terms(Hd)
-    terms += bosonic_dissipator_terms(ops.position, ops.residual_half)
-    return Liouvillian(space=space, terms=terms, method="arcme", energy_op=aug.lift(Hel))
+    terms += residual_bath
+    return Liouvillian(space=aug.space, terms=terms, method="arcme", energy_op=aug.lift(Hel))
 
 
 def build_generator(p: ModelParams, method: str, M: int | None = None,

@@ -10,9 +10,9 @@ is then fixed by energy balance).
 
 The machine is judged as an engine: output power P = V * c1 against the heat
 drawn from the hot resource (hot left lead in regime 1, hot phonons in
-regime 2).  ``efficiency`` refuses to divide by a non-positive heat intake
--- that is not an engine, and pretending otherwise produces spurious
-super-Carnot numbers.
+regime 2).  The efficiency eta = P / Q_in is reported only for a positive
+heat intake: otherwise the device is not an engine, and dividing anyway
+produces spurious super-Carnot numbers.
 """
 from __future__ import annotations
 
@@ -24,10 +24,6 @@ from .fcs import cumulants, mean_current
 from .model import ElectronicBasis, ModelParams
 from .rc import build_generator
 from .superop import ConvergenceFailure, Liouvillian, SteadyState, apply_terms, steady_state
-
-
-class NotAnEngine(Exception):
-    """Efficiency is undefined: the device is not drawing heat from the hot bath."""
 
 
 class BracketError(Exception):
@@ -56,13 +52,6 @@ def energy_currents(L: Liouvillian, ss: SteadyState):
     else:
         IE_ph = bath_energy_current(L, ss, "phonon")
     return IE_L, IE_R, IE_ph
-
-
-def efficiency(P: float, Q_in: float) -> float:
-    """Engine efficiency P / Q_in; raises ``NotAnEngine`` for Q_in <= 0."""
-    if Q_in <= 0.0:
-        raise NotAnEngine(f"heat intake from the hot resource is {Q_in:.3e} <= 0")
-    return P / Q_in
 
 
 def carnot_efficiency(p: ModelParams, regime: int) -> float:
@@ -114,10 +103,7 @@ def transport_report(p: ModelParams, method: str, regime: int, M: int | None = N
     IE_L, IE_R, IE_ph = energy_currents(L, ss)
     P = p.V * cum.c1
     Q_in = IE_L - p.mu_L * cum.c1 if regime == 1 else IE_ph
-    try:
-        eta = efficiency(P, Q_in)
-    except NotAnEngine:
-        eta = None
+    eta = P / Q_in if Q_in > 0.0 else None
     violated = eta is not None and eta > eta_c + 1e-12
     return TransportReport(params=p, method=method, regime=regime,
                            M=None if method == "wcme" else M,

@@ -10,12 +10,16 @@ pi*J(Delta)*(n+1) across the inter-site splitting, while keeping the
 non-secular coupling between coherences and populations.  Lamb shifts are
 dropped throughout.
 
+Each filter returns a pair (chi, phi): the bare operator with its matrix
+elements scaled by the occupied-bath weight (quanta available to absorb) and
+by the complementary weight.  ``rc`` applies the same filters and dissipators
+on the augmented space of the reaction coordinate (Omega = omega0,
+kappa = sqrt(lam * omega0)), with the residual Ohmic bath in place of J.
+
 Lead sandwich terms are tagged with the direction of electron transfer so the
 same term lists drive counting statistics downstream.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,34 +34,19 @@ from .model import (
 from .superop import Liouvillian, Space, TaggedTerm, coherent_terms
 
 
-@dataclass(frozen=True)
-class RedfieldHalfTransform:
-    """One-sided filtered coupling operator.
-
-    ``chi`` carries the occupied-bath weight (quanta available to absorb),
-    ``phi`` the complementary weight; both are the bare operator with its
-    matrix elements scaled by the bath response at each transition frequency.
-    """
-
-    chi: np.ndarray
-    phi: np.ndarray
-
-
-def fermi_half(A: np.ndarray, evals: np.ndarray, beta: float, mu: float,
-               remove: bool) -> RedfieldHalfTransform:
-    """Filter a lead coupling operator with Fermi factors.
+def fermi_half(A: np.ndarray, evals: np.ndarray, beta: float, mu: float, remove: bool):
+    """Filter a lead coupling operator with Fermi factors into (chi, phi).
 
     ``remove=True`` treats A as removing an electron from the system (the
     quantum enters the lead at -eta_jk); ``remove=False`` as adding one.
     """
     eta = np.subtract.outer(evals, evals)
     occ = fermi(beta, mu, -eta if remove else eta)
-    return RedfieldHalfTransform(chi=occ * A, phi=(1.0 - occ) * A)
+    return occ * A, (1.0 - occ) * A
 
 
-def bose_half(A: np.ndarray, evals: np.ndarray, J, slope0: float,
-              beta: float) -> RedfieldHalfTransform:
-    """Filter a Hermitian coupling operator with bosonic response functions.
+def bose_half(A: np.ndarray, evals: np.ndarray, J, slope0: float, beta: float):
+    """Filter a Hermitian coupling operator with bosonic responses into (chi, phi).
 
     ``chi`` picks up (pi/2) J(eta) coth(beta eta / 2) (even in eta, finite at
     eta -> 0 for the linear-in-frequency densities used here, where it limits
@@ -68,7 +57,7 @@ def bose_half(A: np.ndarray, evals: np.ndarray, J, slope0: float,
     x = 0.5 * beta * eta
     small = np.abs(x) < 1e-7
     K = np.where(small, 2.0 * slope0 / beta, jodd / np.tanh(np.where(small, 1.0, x)))
-    return RedfieldHalfTransform(chi=(np.pi / 2) * K * A, phi=(np.pi / 2) * jodd * A)
+    return (np.pi / 2) * K * A, (np.pi / 2) * jodd * A
 
 
 def build_wcme_lead_dissipator(A_rem: np.ndarray, evals: np.ndarray, Gamma: float,
@@ -82,25 +71,24 @@ def build_wcme_lead_dissipator(A_rem: np.ndarray, evals: np.ndarray, Gamma: floa
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     A_add = A_rem.conj().T
-    rem = fermi_half(A_rem, evals, beta, mu, remove=True)
-    add = fermi_half(A_add, evals, beta, mu, remove=False)
+    rem_chi, rem_phi = fermi_half(A_rem, evals, beta, mu, remove=True)
+    add_chi, add_phi = fermi_half(A_add, evals, beta, mu, remove=False)
     g = 0.5 * Gamma
     plus, minus = f"{side}_lead_plus", f"{side}_lead_minus"
     return [
-        TaggedTerm(-g, left=A_rem @ add.chi, bath=side),
-        TaggedTerm(-g, right=add.phi @ A_rem, bath=side),
-        TaggedTerm(-g, left=A_add @ rem.phi, bath=side),
-        TaggedTerm(-g, right=rem.chi @ A_add, bath=side),
-        TaggedTerm(g, left=A_rem, right=add.phi, tag=plus, bath=side),
-        TaggedTerm(g, left=rem.phi, right=A_add, tag=plus, bath=side),
-        TaggedTerm(g, left=add.chi, right=A_rem, tag=minus, bath=side),
-        TaggedTerm(g, left=A_add, right=rem.chi, tag=minus, bath=side),
+        TaggedTerm(-g, left=A_rem @ add_chi, bath=side),
+        TaggedTerm(-g, right=add_phi @ A_rem, bath=side),
+        TaggedTerm(-g, left=A_add @ rem_phi, bath=side),
+        TaggedTerm(-g, right=rem_chi @ A_add, bath=side),
+        TaggedTerm(g, left=A_rem, right=add_phi, tag=plus, bath=side),
+        TaggedTerm(g, left=rem_phi, right=A_add, tag=plus, bath=side),
+        TaggedTerm(g, left=add_chi, right=A_rem, tag=minus, bath=side),
+        TaggedTerm(g, left=A_add, right=rem_chi, tag=minus, bath=side),
     ]
 
 
-def bosonic_dissipator_terms(s: np.ndarray, half: RedfieldHalfTransform) -> list:
+def bosonic_dissipator_terms(s: np.ndarray, chi: np.ndarray, phi: np.ndarray) -> list:
     """Factorized bosonic dissipator -[s, [chi, rho]] + [s, {phi, rho}]."""
-    chi, phi = half.chi, half.phi
     return [
         TaggedTerm(-1.0, left=s @ chi, bath="phonon"),
         TaggedTerm(1.0, left=s, right=chi, bath="phonon"),
@@ -132,6 +120,6 @@ def assemble_wcme(p: ModelParams, basis: ElectronicBasis | None = None) -> Liouv
     terms = coherent_terms(H)
     terms += build_wcme_lead_dissipator(A1, evals, p.Gamma_L, p.beta_L, p.mu_L, "left")
     terms += build_wcme_lead_dissipator(A3, evals, p.Gamma_R, p.beta_R, p.mu_R, "right")
-    terms += bosonic_dissipator_terms(s, bose_half(s, evals, sd, sd.slope0, p.beta_ph))
+    terms += bosonic_dissipator_terms(s, *bose_half(s, evals, sd, sd.slope0, p.beta_ph))
     space = Space(basis.electron_numbers)
     return Liouvillian(space=space, terms=terms, method="wcme", energy_op=H)

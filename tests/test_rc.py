@@ -6,10 +6,9 @@ import pytest
 from scipy.integrate import quad
 
 from nanojunction.model import ElectronicBasis, ModelParams, regime_params
+import nanojunction.rc as rc_mod
 from nanojunction.rc import (
-    AugmentedSystem,
     LadderCertificate,
-    RcParams,
     assemble_arcme,
     assemble_rcme,
     build_augmented_hamiltonian,
@@ -17,7 +16,7 @@ from nanojunction.rc import (
     converge_current,
     converge_in_levels,
     ladder_op,
-    rc_map,
+    residual_density,
 )
 from nanojunction.superop import ConvergenceFailure, assemble, steady_state
 from nanojunction.fcs import mean_current
@@ -26,24 +25,31 @@ from nanojunction.wcme import assemble_wcme
 
 def test_mapping_reproduces_reorganization_energy():
     p = ModelParams()
-    rc = rc_map(p, 10)
+    M = 10
+    H = build_augmented_hamiltonian(p, M).hamiltonian
+    b = ElectronicBasis(project_out_double=True)
+    L0, R1 = b.index("L") * M, b.index("R") * M + 1
     sd = p.spectral_density()
     near, _ = quad(lambda w: sd(w) / w, 0.0, 4.0 * p.omega0,
                    points=[p.omega0], limit=200)
     tail, _ = quad(lambda w: sd(w) / w, 4.0 * p.omega0, np.inf, limit=200)
     reorg = near + tail
-    assert rc.Omega == p.omega0
-    assert rc.kappa**2 == pytest.approx(rc.Omega * reorg, rel=1e-6)
-    assert rc.lambda_shift == p.lam
-    assert rc.gamma == p.gamma
+    # <L,0|H'|R,1> = kappa and the Fock ladder is spaced by Omega = omega0
+    assert H[L0, R1].real == pytest.approx(np.sqrt(p.omega0 * reorg), rel=1e-6)
+    assert H[L0 + 1, L0 + 1] - H[L0, L0] == pytest.approx(p.omega0, rel=1e-12)
 
 
-def test_mapping_rejects_inconsistent_coupling():
-    with pytest.raises(ValueError):
-        RcParams(Omega=100.0, kappa=1.0, M=10, lambda_shift=3.0, gamma=100.0)
-    with pytest.raises(ValueError):
-        RcParams(Omega=100.0, kappa=np.sqrt(300.0), M=0, lambda_shift=3.0,
-                 gamma=100.0)
+def test_fock_cutoff_below_one_is_refused_before_building(monkeypatch):
+    built = []
+    monkeypatch.setattr(rc_mod, "build_system_hamiltonian",
+                        lambda *args: built.append(args))
+    p = ModelParams()
+    for build in (build_augmented_hamiltonian, assemble_rcme, assemble_arcme,
+                  lambda p, M: build_generator(p, "rcme", M),
+                  lambda p, M: build_generator(p, "arcme", M)):
+        with pytest.raises(ValueError, match="M must be at least 1"):
+            build(p, 0)
+    assert built == []
 
 
 def test_ladder_operator_algebra():
@@ -56,10 +62,9 @@ def test_ladder_operator_algebra():
 
 
 def test_residual_mode_damping_rate():
-    rc = rc_map(ModelParams(), 10)
+    p = ModelParams()
     # the leftover bath must damp the coordinate at exactly the original width
-    assert 2.0 * np.pi * rc.residual_density(rc.Omega) == pytest.approx(
-        rc.gamma, rel=1e-12)
+    assert 2.0 * np.pi * residual_density(p, p.omega0) == pytest.approx(p.gamma, rel=1e-12)
 
 
 def test_decoupled_mode_gives_shifted_ladder_spectrum():
@@ -73,13 +78,18 @@ def test_decoupled_mode_gives_shifted_ladder_spectrum():
 
 
 def test_rotation_is_unitary_and_charge_sharp():
-    aug = build_augmented_hamiltonian(ModelParams(), 8)
+    p, M = ModelParams(), 8
+    aug = build_augmented_hamiltonian(p, M)
     W = aug.modes
     assert np.allclose(W.conj().T @ W, np.eye(aug.dim), atol=1e-12)
+    sector = np.empty(aug.dim, dtype=int)
+    for k, idx in enumerate(aug.space.sectors):
+        sector[idx] = k
     for j in range(aug.dim):
         support = np.abs(W[:, j]) > 1e-12
-        assert len(set(aug.numbers[support])) == 1
-        assert aug.numbers[support][0] == aug.eigen_numbers[j]
+        assert set(sector[support]) == {sector[j]}
+    # the generator is restricted on the same sectors H' was diagonalized in
+    assert np.array_equal(assemble_rcme(p, M).space.index, aug.space.index)
 
 
 def test_single_fock_level_reduces_to_weak_coupling():
@@ -239,7 +249,6 @@ def test_ladder_rejects_bad_settings_before_evaluating(start, step, cap, tol):
 
 
 def test_memory_guard_blocks_oversized_space(monkeypatch):
-    import nanojunction.rc as rc_mod
     monkeypatch.setattr(rc_mod, "MAX_RESTRICTED_DIM", 100)
     with pytest.raises(ConvergenceFailure):
         assemble_rcme(ModelParams(), 10)

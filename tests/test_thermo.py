@@ -14,11 +14,9 @@ from nanojunction.model import ModelParams, regime_params
 from nanojunction.rc import converge_current
 from nanojunction.thermo import (
     BracketError,
-    NotAnEngine,
     bisect_root,
     carnot_efficiency,
     default_bracket,
-    efficiency,
     energy_currents,
     stopping_voltage,
     transport_report,
@@ -122,10 +120,6 @@ def test_additive_method_overshoots_carnot_downhill_of_reversal():
 
 
 def test_not_an_engine_is_refused():
-    with pytest.raises(NotAnEngine):
-        efficiency(0.5, 0.0)
-    with pytest.raises(NotAnEngine):
-        efficiency(0.5, -1.0)
     rep = transport_report(regime_params(2).with_bias(2.0), "wcme", 2)
     assert rep.eta is None and rep.Q_in <= 0.0
 
