@@ -18,24 +18,24 @@ voltage.
 __version__ = "0.1.0"
 
 from .fcs import Cumulants, cumulants, mean_current, zero_frequency_noise
-from .model import ElectronicBasis, ModelParams, SpectralDensity
+from .model import ElectronicBasis, ModelParams
 from .model import bose, drude_lorentz, fermi, regime_params
 from .rc import AugmentedSystem, LadderCertificate
 from .rc import assemble_arcme, assemble_rcme, build_augmented_hamiltonian
-from .rc import build_generator, converge_current, converge_in_levels
+from .rc import build_generator, converge_in_levels
 from .superop import ConvergenceFailure, Liouvillian, NonUniqueSteadyState
 from .superop import Space, SteadyState, TaggedTerm
 from .superop import restricted_pseudo_inverse_apply, steady_state
 from .thermo import BracketError, TransportReport, carnot_efficiency
-from .thermo import energy_currents, stopping_voltage, transport_report
+from .thermo import converge_current, energy_currents, stopping_voltage, transport_report
 from .wcme import assemble_wcme
 
 __all__ = [
     "AugmentedSystem", "BracketError", "ConvergenceFailure", "Cumulants",
     "ElectronicBasis", "LadderCertificate", "Liouvillian", "ModelParams",
-    "NonUniqueSteadyState", "Space", "SpectralDensity", "SteadyState",
-    "TaggedTerm", "TransportReport", "assemble_arcme", "assemble_rcme",
-    "assemble_wcme", "bose", "build_augmented_hamiltonian", "build_generator",
+    "NonUniqueSteadyState", "Space", "SteadyState", "TaggedTerm",
+    "TransportReport", "assemble_arcme", "assemble_rcme", "assemble_wcme",
+    "bose", "build_augmented_hamiltonian", "build_generator",
     "carnot_efficiency", "converge_current", "converge_in_levels", "cumulants",
     "drude_lorentz", "energy_currents", "fermi", "mean_current", "regime_params",
     "restricted_pseudo_inverse_apply", "steady_state", "stopping_voltage",

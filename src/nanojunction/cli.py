@@ -39,8 +39,8 @@ import scipy
 
 from . import __version__
 from .model import ModelParams, regime_params
-from .rc import METHODS, converge_current
-from .thermo import TransportReport, transport_report
+from .rc import METHODS
+from .thermo import TransportReport, converge_current, transport_report
 
 COLUMNS = ("method", "regime", "lambda", "V", "beta_L", "beta_R", "beta_ph", "M",
            "c1", "c2", "upsilon", "P", "IE_L", "IE_R", "IE_ph", "Q_in", "eta",

@@ -1,8 +1,9 @@
 """Steady-state full counting statistics of lead electron transfers.
 
-The generator's lead sandwich terms carry transfer tags, so the first two
-zero-frequency cumulants of the counted net transfer come out of term-list
-applications against the steady state:
+Each generator term carries its bath and the signed number of electrons it
+moves into that bath's lead (``jump``).  J+ / J- are a lead's terms with
+jump +1 / -1, so the first two zero-frequency cumulants of the counted net
+transfer come out of term-list applications against the steady state:
 
     c1 = <J+ - J->,
     c2 = <J+ + J-> - 2 <J R J>,        J = J+ - J-,
@@ -18,10 +19,12 @@ from dataclasses import dataclass
 from .superop import Liouvillian, SteadyState, apply_terms, restricted_pseudo_inverse_apply
 
 
-def _tags(side: str):
+def _jumps(L: Liouvillian, side: str):
+    """The lead's counting terms (J+, J-): jump into / out of it, in term order."""
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    return f"{side}_lead_plus", f"{side}_lead_minus"
+    lead = L.bath(side)
+    return [t for t in lead if t.jump > 0], [t for t in lead if t.jump < 0]
 
 
 def _transport_sign(side: str) -> float:
@@ -31,18 +34,17 @@ def _transport_sign(side: str) -> float:
 
 def mean_current(L: Liouvillian, ss: SteadyState, side: str = "right") -> float:
     """Mean particle current through the given lead, transport-positive."""
-    plus, minus = _tags(side)
+    tp, tm = _jumps(L, side)
     t = L.space.trace_vec
-    jp = t @ apply_terms(L.tagged(plus), L.space, ss.vec)
-    jm = t @ apply_terms(L.tagged(minus), L.space, ss.vec)
+    jp = t @ apply_terms(tp, L.space, ss.vec)
+    jm = t @ apply_terms(tm, L.space, ss.vec)
     return _transport_sign(side) * float((jp - jm).real)
 
 
 def zero_frequency_noise(L: Liouvillian, ss: SteadyState, side: str = "right") -> float:
     """Zero-frequency noise c2 of the counted transfer at the given lead."""
-    plus, minus = _tags(side)
+    tp, tm = _jumps(L, side)
     space, t = L.space, L.space.trace_vec
-    tp, tm = L.tagged(plus), L.tagged(minus)
     jp = apply_terms(tp, space, ss.vec)
     jm = apply_terms(tm, space, ss.vec)
     self_term = (t @ (jp + jm)).real

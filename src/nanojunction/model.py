@@ -2,7 +2,7 @@
 
 The junction is a two-site system (left dot L, right dot R) between two
 wideband fermionic leads, with the inter-site coherence coupled to a bosonic
-environment of Drude-Lorentz form.  After the Jordan-Wigner transformation the
+environment of Drude-Lorentz form (``drude_lorentz``).  After the Jordan-Wigner transformation the
 electronic Hilbert space is spanned by {G, L, R, D} (empty, left-occupied,
 right-occupied, doubly occupied); the lead coupling operators pick up a sign
 on the G<->L transitions from the string operator.
@@ -66,9 +66,6 @@ class ModelParams:
     def with_bias(self, V: float) -> "ModelParams":
         """Return a copy at bias V (gauge mu_L fixed)."""
         return replace(self, mu_R=self.mu_L + V)
-
-    def spectral_density(self) -> "SpectralDensity":
-        return SpectralDensity(self.lam, self.omega0, self.gamma)
 
 
 def regime_params(which: int, **overrides) -> ModelParams:
@@ -150,35 +147,20 @@ def build_phonon_coupling_op(b: ElectronicBasis) -> np.ndarray:
     return _ket_bra(b, "L", "R") + _ket_bra(b, "R", "L")
 
 
-@dataclass(frozen=True)
-class SpectralDensity:
-    """Drude-Lorentz spectral density peaked near omega0 with width gamma.
+def drude_lorentz(p: ModelParams, omega):
+    """Drude-Lorentz spectral density J(omega) for omega >= 0 (domain error otherwise).
 
     J(w) = (2/pi) * lam * w * omega0^2 * gamma / ((omega0^2 - w^2)^2 + gamma^2 w^2),
-    normalized so that the reorganisation energy is lam = int_0^inf J(w)/w dw.
+    peaked near omega0 with width gamma and normalized so that the
+    reorganisation energy is lam = int_0^inf J(w)/w dw.  Its slope at w = 0
+    is (2/pi) * lam * gamma / omega0^2.
     """
-
-    lam: float
-    omega0: float
-    gamma: float
-
-    def __call__(self, omega):
-        w = np.asarray(omega, dtype=float)
-        num = 2.0 / np.pi * self.lam * w * self.omega0**2 * self.gamma
-        den = (self.omega0**2 - w**2) ** 2 + (self.gamma * w) ** 2
-        return num / den
-
-    @property
-    def slope0(self) -> float:
-        """dJ/dw at w = 0; sets the finite emission rate at vanishing splitting."""
-        return 2.0 / np.pi * self.lam * self.gamma / self.omega0**2
-
-
-def drude_lorentz(sd: SpectralDensity, omega: float) -> float:
-    """Evaluate J(omega) for omega >= 0 (domain error otherwise)."""
-    if np.any(np.asarray(omega) < 0):
+    w = np.asarray(omega, dtype=float)
+    if np.any(w < 0):
         raise ValueError("drude_lorentz is defined for omega >= 0")
-    return sd(omega)
+    num = 2.0 / np.pi * p.lam * w * p.omega0**2 * p.gamma
+    den = (p.omega0**2 - w**2) ** 2 + (p.gamma * w) ** 2
+    return num / den
 
 
 def fermi(beta: float, mu: float, omega):

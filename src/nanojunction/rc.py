@@ -20,7 +20,7 @@ Two generators are built on the augmented space:
 the weak-coupling generator or either of these by name.  Mode-space
 truncation is handled by ``converge_in_levels``, which walks the Fock cutoff
 upward and certifies (or honestly refuses to certify) relative convergence
-of an observable.
+of an observable; ``thermo.converge_current`` walks it for the mean current.
 """
 from __future__ import annotations
 
@@ -29,7 +29,6 @@ from functools import partial
 
 import numpy as np
 
-from .fcs import mean_current
 from .model import (
     ElectronicBasis,
     ModelParams,
@@ -37,8 +36,7 @@ from .model import (
     build_phonon_coupling_op,
     build_system_hamiltonian,
 )
-from .superop import ConvergenceFailure, Liouvillian, Space, TaggedTerm
-from .superop import coherent_terms, steady_state
+from .superop import ConvergenceFailure, Liouvillian, Space, TaggedTerm, coherent_terms
 from .wcme import (
     assemble_wcme,
     bose_half,
@@ -85,10 +83,6 @@ class AugmentedSystem:
     evals: np.ndarray                # eigenvalue per eigencolumn
     modes: np.ndarray = field(repr=False)  # eigencolumns, block-unitary
     residual: float = 0.0            # max |H W - W diag(evals)|
-
-    @property
-    def dim(self) -> int:
-        return self.hamiltonian.shape[0]
 
     def rotate(self, A: np.ndarray) -> np.ndarray:
         """Transform a product-basis operator into the eigenbasis."""
@@ -180,7 +174,7 @@ def assemble_arcme(p: ModelParams, M: int,
     terms = [TaggedTerm(t.coef,
                         left=None if t.left is None else aug.lift(t.left),
                         right=None if t.right is None else aug.lift(t.right),
-                        tag=t.tag, bath=t.bath)
+                        bath=t.bath, jump=t.jump)
              for t in bare]
     terms += coherent_terms(Hd)
     terms += residual_bath
@@ -270,19 +264,3 @@ def converge_in_levels(evaluate, start: int = 10, step: int = 4,
     return LadderCertificate(False, history[-1][0], history[-1][1],
                              prev_inc if prev_inc is not None else np.inf,
                              history, f"cap M={cap} reached without convergence")
-
-
-def converge_current(p: ModelParams, method: str = "rcme",
-                     basis: ElectronicBasis | None = None, start: int = 10,
-                     step: int = 4, tol: float = 1e-6,
-                     cap: int = 60) -> LadderCertificate:
-    """Ladder convergence of the mean right-lead current."""
-    if method not in METHODS or method == "wcme":
-        raise ValueError(f"method {method!r} has no Fock ladder; "
-                         "use a reaction-coordinate method")
-
-    def evaluate(M):
-        L = build_generator(p, method, M, basis)
-        return mean_current(L, steady_state(L))
-
-    return converge_in_levels(evaluate, start=start, step=step, tol=tol, cap=cap)

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-TAGS = ("none", "right_lead_plus", "right_lead_minus", "left_lead_plus", "left_lead_minus")
 _OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
                      "scipy_openblas_set_num_threads", "openblas_set_num_threads")
 
@@ -104,21 +103,21 @@ class Space:
 class TaggedTerm:
     """One factorized superoperator term: rho -> coef * A @ rho @ B.
 
-    ``left``/``right`` default to the identity.  ``tag`` marks counting
-    status (which lead gains/loses an electron when this sandwich fires);
-    ``bath`` records which environment the term came from, for energy-current
-    bookkeeping.
+    ``left``/``right`` default to the identity.  ``bath`` records which
+    environment the term came from, for energy-current bookkeeping;
+    ``jump`` is the number of electrons the term moves into that bath's lead
+    when it fires (+1 into it, -1 out of it, 0 for none), for counting.
     """
 
     coef: complex
     left: np.ndarray | None = None
     right: np.ndarray | None = None
-    tag: str = "none"
     bath: str = "coherent"
+    jump: int = 0
 
     def __post_init__(self):
-        if self.tag not in TAGS:
-            raise ValueError(f"unknown tag {self.tag!r}")
+        if self.jump not in (-1, 0, 1):
+            raise ValueError(f"jump must be -1, 0 or 1, got {self.jump!r}")
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         out = rho if self.left is None else self.left @ rho
@@ -211,9 +210,6 @@ class Liouvillian:
         assemble(self.space, self.terms, self._bordered)
         self._bordered[:n, n] = self.space.trace_vec
         self._bordered[n, :n] = self.space.trace_vec
-
-    def tagged(self, *tags):
-        return [t for t in self.terms if t.tag in tags]
 
     def bath(self, *baths):
         return [t for t in self.terms if t.bath in baths]

@@ -1,4 +1,5 @@
-"""Energy flows, output power, efficiency and the stopping voltage.
+"""Energy flows, output power, efficiency, the stopping voltage and the
+Fock-cutoff convergence of the mean current.
 
 Sign convention: every energy current is the flow *into* the system from the
 named environment, IE_X = tr(E D_X rho_ss), so in steady state the three
@@ -22,7 +23,7 @@ import numpy as np
 
 from .fcs import cumulants, mean_current
 from .model import ElectronicBasis, ModelParams
-from .rc import build_generator
+from .rc import METHODS, LadderCertificate, build_generator, converge_in_levels
 from .superop import ConvergenceFailure, Liouvillian, SteadyState, apply_terms, steady_state
 
 
@@ -113,8 +114,8 @@ def transport_report(p: ModelParams, method: str, regime: int, M: int | None = N
                            converged=converged, residual=ss.residual)
 
 
-def bisect_root(f, a: float, b: float, tol: float = 1e-8, max_iter: int = 200) -> float:
-    """Plain bisection for a decreasing sign change of f on [a, b]."""
+def bisect_root(f, a: float, b: float, tol: float = 1e-8) -> float:
+    """Plain bisection for a decreasing sign change of f on [a, b], 200 steps at most."""
     if tol <= 0:
         raise ValueError(f"bisection tolerance must be positive, got {tol!r}")
     fa, fb = f(a), f(b)
@@ -122,7 +123,7 @@ def bisect_root(f, a: float, b: float, tol: float = 1e-8, max_iter: int = 200) -
         raise BracketError(f"f({a}) = {fa:.3e} is not positive at the lower bracket")
     if fb >= 0.0:
         raise BracketError(f"f({b}) = {fb:.3e} is not negative at the upper bracket")
-    for _ in range(max_iter):
+    for _ in range(200):
         if b - a <= tol:
             return 0.5 * (a + b)
         m = 0.5 * (a + b)
@@ -143,15 +144,27 @@ def default_bracket(p: ModelParams) -> float:
     return 5.0 * p.Delta * (beta_cold - beta_hot) / beta_cold
 
 
+def _current(p: ModelParams, method: str, M: int | None,
+             basis: ElectronicBasis | None) -> float:
+    """Mean right-lead current of the method's steady state."""
+    L = build_generator(p, method, M, basis)
+    return mean_current(L, steady_state(L))
+
+
 def stopping_voltage(p: ModelParams, method: str = "wcme", M: int | None = None,
-                     basis: ElectronicBasis | None = None, tol: float = 1e-8,
-                     v_max: float | None = None) -> float:
-    """Bias where the mean current reverses, located by bisection to tol."""
-    if v_max is None:
-        v_max = default_bracket(p)
+                     basis: ElectronicBasis | None = None, tol: float = 1e-8) -> float:
+    """Bias where the mean current reverses, bisected to tol on [0, default_bracket(p)]."""
+    return bisect_root(lambda V: _current(p.with_bias(V), method, M, basis),
+                       0.0, default_bracket(p), tol=tol)
 
-    def current_at(V: float) -> float:
-        L = build_generator(p.with_bias(V), method, M, basis)
-        return mean_current(L, steady_state(L))
 
-    return bisect_root(current_at, 0.0, v_max, tol=tol)
+def converge_current(p: ModelParams, method: str = "rcme",
+                     basis: ElectronicBasis | None = None, start: int = 10,
+                     step: int = 4, tol: float = 1e-6,
+                     cap: int = 60) -> LadderCertificate:
+    """Ladder convergence of the mean right-lead current."""
+    if method not in METHODS or method == "wcme":
+        raise ValueError(f"method {method!r} has no Fock ladder; "
+                         "use a reaction-coordinate method")
+    return converge_in_levels(lambda M: _current(p, method, M, basis),
+                              start=start, step=step, tol=tol, cap=cap)

@@ -16,10 +16,13 @@ by the complementary weight.  ``rc`` applies the same filters and dissipators
 on the augmented space of the reaction coordinate (Omega = omega0,
 kappa = sqrt(lam * omega0)), with the residual Ohmic bath in place of J.
 
-Lead sandwich terms are tagged with the direction of electron transfer so the
-same term lists drive counting statistics downstream.
+Every term carries the bath it came from, and the lead sandwich terms also
+carry the signed number of electrons they move into that lead, so the same
+term lists drive energy bookkeeping and counting statistics downstream.
 """
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -29,6 +32,7 @@ from .model import (
     build_lead_coupling_ops,
     build_phonon_coupling_op,
     build_system_hamiltonian,
+    drude_lorentz,
     fermi,
 )
 from .superop import Liouvillian, Space, TaggedTerm, coherent_terms
@@ -64,9 +68,9 @@ def build_wcme_lead_dissipator(A_rem: np.ndarray, evals: np.ndarray, Gamma: floa
                                beta: float, mu: float, side: str) -> list:
     """Factorized Redfield dissipator of one wideband lead.
 
-    ``A_rem`` removes an electron from the system into the lead; terms that
-    move one electron into/out of the lead are tagged ``<side>_lead_plus`` /
-    ``<side>_lead_minus``.
+    ``A_rem`` removes an electron from the system into the lead; every term
+    is on bath ``side``, and the sandwiches that move one electron into/out
+    of the lead carry ``jump`` +1 / -1.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
@@ -74,16 +78,15 @@ def build_wcme_lead_dissipator(A_rem: np.ndarray, evals: np.ndarray, Gamma: floa
     rem_chi, rem_phi = fermi_half(A_rem, evals, beta, mu, remove=True)
     add_chi, add_phi = fermi_half(A_add, evals, beta, mu, remove=False)
     g = 0.5 * Gamma
-    plus, minus = f"{side}_lead_plus", f"{side}_lead_minus"
     return [
         TaggedTerm(-g, left=A_rem @ add_chi, bath=side),
         TaggedTerm(-g, right=add_phi @ A_rem, bath=side),
         TaggedTerm(-g, left=A_add @ rem_phi, bath=side),
         TaggedTerm(-g, right=rem_chi @ A_add, bath=side),
-        TaggedTerm(g, left=A_rem, right=add_phi, tag=plus, bath=side),
-        TaggedTerm(g, left=rem_phi, right=A_add, tag=plus, bath=side),
-        TaggedTerm(g, left=add_chi, right=A_rem, tag=minus, bath=side),
-        TaggedTerm(g, left=A_add, right=rem_chi, tag=minus, bath=side),
+        TaggedTerm(g, left=A_rem, right=add_phi, bath=side, jump=1),
+        TaggedTerm(g, left=rem_phi, right=A_add, bath=side, jump=1),
+        TaggedTerm(g, left=add_chi, right=A_rem, bath=side, jump=-1),
+        TaggedTerm(g, left=A_add, right=rem_chi, bath=side, jump=-1),
     ]
 
 
@@ -116,10 +119,11 @@ def assemble_wcme(p: ModelParams, basis: ElectronicBasis | None = None) -> Liouv
     evals = np.diag(H).real
     A1, A3 = build_lead_coupling_ops(basis)
     s = build_phonon_coupling_op(basis)
-    sd = p.spectral_density()
     terms = coherent_terms(H)
     terms += build_wcme_lead_dissipator(A1, evals, p.Gamma_L, p.beta_L, p.mu_L, "left")
     terms += build_wcme_lead_dissipator(A3, evals, p.Gamma_R, p.beta_R, p.mu_R, "right")
-    terms += bosonic_dissipator_terms(s, *bose_half(s, evals, sd, sd.slope0, p.beta_ph))
+    chi, phi = bose_half(s, evals, partial(drude_lorentz, p),
+                         2.0 / np.pi * p.lam * p.gamma / p.omega0**2, p.beta_ph)
+    terms += bosonic_dissipator_terms(s, chi, phi)
     space = Space(basis.electron_numbers)
     return Liouvillian(space=space, terms=terms, method="wcme", energy_op=H)

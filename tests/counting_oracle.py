@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 import scipy.linalg as sla
 
-from nanojunction.fcs import _tags, _transport_sign
+from nanojunction.fcs import _jumps, _transport_sign
 from nanojunction.superop import Liouvillian, SteadyState, assemble, steady_state
 
 
@@ -67,10 +67,10 @@ def counting_field_oracle(L: Liouvillian, ss: SteadyState | None = None,
     """
     if ss is None:
         ss = steady_state(L)
-    plus, minus = _tags(side)
+    plus, minus = _jumps(L, side)
     L0 = assemble(L.space, L.terms)
-    Ip = assemble(L.space, L.tagged(plus))
-    Im = assemble(L.space, L.tagged(minus))
+    Ip = assemble(L.space, plus)
+    Im = assemble(L.space, minus)
     t = L.space.trace_vec.astype(complex)
     g = {}
     for chi in (h, -h, h / 2, -h / 2):

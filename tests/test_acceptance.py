@@ -21,9 +21,10 @@ import pytest
 from counting_oracle import counting_field_oracle
 from nanojunction.fcs import cumulants, mean_current
 from nanojunction.model import ElectronicBasis, ModelParams, regime_params
-from nanojunction.rc import assemble_arcme, assemble_rcme, converge_current
+from nanojunction.rc import assemble_arcme, assemble_rcme
 from nanojunction.superop import Liouvillian, Space, coherent_terms, steady_state
 from nanojunction.thermo import (
+    converge_current,
     energy_currents,
     stopping_voltage,
     transport_report,

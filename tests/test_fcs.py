@@ -106,3 +106,11 @@ def test_equilibrium_ratios_are_undefined():
     assert abs(cum.c1) < 1e-13
     assert cum.c2 > 0.0            # thermal noise survives at zero current
     assert cum.fano is None and cum.upsilon is None
+
+
+def test_only_a_lead_can_be_counted():
+    L = assemble_wcme(ModelParams())
+    ss = steady_state(L)
+    for count in (mean_current, zero_frequency_noise, cumulants):
+        with pytest.raises(ValueError, match="side"):
+            count(L, ss, side="phonon")

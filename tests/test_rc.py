@@ -1,11 +1,12 @@
 """Reaction-coordinate construction and level-ladder convergence."""
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from nanojunction.model import ElectronicBasis, ModelParams, regime_params
+from nanojunction.model import ElectronicBasis, ModelParams, drude_lorentz, regime_params
 import nanojunction.rc as rc_mod
 from nanojunction.rc import (
     LadderCertificate,
@@ -13,13 +14,13 @@ from nanojunction.rc import (
     assemble_rcme,
     build_augmented_hamiltonian,
     build_generator,
-    converge_current,
     converge_in_levels,
     ladder_op,
     residual_density,
 )
 from nanojunction.superop import ConvergenceFailure, assemble, steady_state
 from nanojunction.fcs import mean_current
+from nanojunction.thermo import converge_current
 from nanojunction.wcme import assemble_wcme
 
 
@@ -29,10 +30,9 @@ def test_mapping_reproduces_reorganization_energy():
     H = build_augmented_hamiltonian(p, M).hamiltonian
     b = ElectronicBasis(project_out_double=True)
     L0, R1 = b.index("L") * M, b.index("R") * M + 1
-    sd = p.spectral_density()
-    near, _ = quad(lambda w: sd(w) / w, 0.0, 4.0 * p.omega0,
+    near, _ = quad(lambda w: drude_lorentz(p, w) / w, 0.0, 4.0 * p.omega0,
                    points=[p.omega0], limit=200)
-    tail, _ = quad(lambda w: sd(w) / w, 4.0 * p.omega0, np.inf, limit=200)
+    tail, _ = quad(lambda w: drude_lorentz(p, w) / w, 4.0 * p.omega0, np.inf, limit=200)
     reorg = near + tail
     # <L,0|H'|R,1> = kappa and the Fock ladder is spaced by Omega = omega0
     assert H[L0, R1].real == pytest.approx(np.sqrt(p.omega0 * reorg), rel=1e-6)
@@ -81,11 +81,11 @@ def test_rotation_is_unitary_and_charge_sharp():
     p, M = ModelParams(), 8
     aug = build_augmented_hamiltonian(p, M)
     W = aug.modes
-    assert np.allclose(W.conj().T @ W, np.eye(aug.dim), atol=1e-12)
-    sector = np.empty(aug.dim, dtype=int)
+    assert np.allclose(W.conj().T @ W, np.eye(aug.space.dim), atol=1e-12)
+    sector = np.empty(aug.space.dim, dtype=int)
     for k, idx in enumerate(aug.space.sectors):
         sector[idx] = k
-    for j in range(aug.dim):
+    for j in range(aug.space.dim):
         support = np.abs(W[:, j]) > 1e-12
         assert set(sector[support]) == {sector[j]}
     # the generator is restricted on the same sectors H' was diagonalized in
@@ -137,13 +137,16 @@ def test_equilibrium_carries_no_current():
 
 
 def test_tag_partition_reassembles_generator():
-    L = assemble_arcme(regime_params(2), 6)
-    full = assemble(L.space, L.terms)
-    total = np.zeros_like(full)
-    for tag in ("none", "left_lead_plus", "left_lead_minus",
-                "right_lead_plus", "right_lead_minus"):
-        total += assemble(L.space, L.tagged(tag))
-    assert np.allclose(total, full, atol=1e-12)
+    for build in (assemble_rcme, assemble_arcme):
+        L = build(regime_params(2), 6)
+        full = assemble(L.space, L.terms)
+        total = np.zeros_like(full)
+        for key in itertools.product(("coherent", "left", "right", "phonon"), (-1, 0, 1)):
+            total += assemble(L.space, [t for t in L.terms if (t.bath, t.jump) == key])
+        assert np.allclose(total, full, atol=1e-12)
+        for t in L.terms:
+            if t.jump != 0:
+                assert t.bath in ("left", "right")
 
 
 def test_additive_energy_operator_stays_electronic():

@@ -230,7 +230,7 @@ def test_apply_terms_matches_matrix():
 
 def test_tagged_term_rejects_unknown_tag():
     with pytest.raises(ValueError):
-        TaggedTerm(1.0, tag="bogus")
+        TaggedTerm(1.0, jump=2)
 
 
 def test_residual_tolerance_enforced():

@@ -11,11 +11,11 @@ import pytest
 
 from nanojunction import thermo
 from nanojunction.model import ModelParams, regime_params
-from nanojunction.rc import converge_current
 from nanojunction.thermo import (
     BracketError,
     bisect_root,
     carnot_efficiency,
+    converge_current,
     default_bracket,
     energy_currents,
     stopping_voltage,

@@ -8,6 +8,8 @@ absorption/emission across the inter-site splitting with Bose weights.  That
 classical chain, built independently here, is the oracle for the full
 non-secular generator.
 """
+import itertools
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from nanojunction.model import (
     ElectronicBasis,
     ModelParams,
     bose,
+    drude_lorentz,
     fermi,
     regime_params,
 )
@@ -28,7 +31,7 @@ def _classical_rates(p):
     fL2 = fermi(p.beta_L, p.mu_L, p.eps_L + p.U)
     fR1 = fermi(p.beta_R, p.mu_R, p.eps_R)
     fR2 = fermi(p.beta_R, p.mu_R, p.eps_R + p.U)
-    J = p.spectral_density()(p.Delta)
+    J = drude_lorentz(p, p.Delta)
     n = bose(p.beta_ph, p.Delta)
     absorb = 2.0 * np.pi * J * n          # L -> R, quantum taken from the bath
     emit = 2.0 * np.pi * J * (n + 1.0)    # R -> L
@@ -173,12 +176,11 @@ def test_tag_partition_reassembles_generator():
     L = assemble_wcme(regime_params(2))
     full = assemble(L.space, L.terms)
     total = np.zeros_like(full)
-    for tag in ("none", "left_lead_plus", "left_lead_minus",
-                "right_lead_plus", "right_lead_minus"):
-        total += assemble(L.space, L.tagged(tag))
+    for key in itertools.product(("coherent", "left", "right", "phonon"), (-1, 0, 1)):
+        total += assemble(L.space, [t for t in L.terms if (t.bath, t.jump) == key])
     assert np.allclose(total, full, atol=1e-14)
     for t in L.terms:
-        if t.tag != "none":
+        if t.jump != 0:
             assert t.bath in ("left", "right")
 
 
