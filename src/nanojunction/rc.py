@@ -49,9 +49,9 @@ from .wcme import (
 METHODS = ("wcme", "rcme", "arcme")
 
 # Largest restricted superoperator dimension the dense solve path may
-# allocate.  The peak holds the (n+1)^2 bordered buffer, which the LU
-# overwrites, and one O(m^3) assembly slab, ~16 (n+1)^2 bytes: ~1.30 GB at
-# n = 9000 (an M = 42 report, n = 8820, peaked at 1279 MB RSS).
+# allocate.  The peak is the (n+1)^2 bordered buffer, which the LU overwrites,
+# plus assembly's working set of a few MB: ~16 (n+1)^2 bytes, ~1.30 GB at
+# n = 9000 (an M = 42 report, n = 8820, peaked at 1278 MB RSS).
 MAX_RESTRICTED_DIM = 9000
 
 

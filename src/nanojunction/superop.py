@@ -11,9 +11,9 @@ Superoperator terms are stored in factorized form, coef * (A . B), i.e.
 rho -> coef * A @ rho @ B, the generator's only stored form: a
 ``Liouvillian`` sums them blockwise, via vec(A rho B) = (B^T kron A) vec(rho),
 straight into its bordered LU buffer; its certificates apply them matrix-free.
-A one-sided term (A rho or rho B) is written only on the m^3 non-zeros of its
-m^2 x m^2 sector block, a sandwich one O(m^3) slab at a time, so assembly
-holds no block-sized temporary.
+Each m^2 x m^2 sector block is assembled one cache-sized chunk at a time,
+every term added to the chunk in order before it is written back, so assembly
+holds that chunk, a product temporary and one sector pair's m x m term blocks.
 
 Importing this module sets NumPy's bundled OpenBLAS to one thread when SciPy
 links its own, so that NumPy's idle workers do not spin on the LU's cores.
@@ -21,6 +21,7 @@ links its own, so that NumPy's idle workers do not spin on the LU's cores.
 from __future__ import annotations
 
 import ctypes
+import itertools
 import warnings
 from dataclasses import dataclass, field
 
@@ -52,6 +53,8 @@ def _pin_numpy_blas(numpy_ext: str, scipy_ext: str) -> None:
 
 
 _pin_numpy_blas(np.linalg._umath_linalg.__file__, sla._flapack.__file__)
+
+_CHUNK_BYTES = 1 << 18   # ``assemble``'s working chunk, kept in cache with its temporary
 
 
 class NonUniqueSteadyState(Exception):
@@ -131,10 +134,9 @@ def assemble(space: Space, terms, out: np.ndarray | None = None) -> np.ndarray:
 
     Returns a fresh Fortran-ordered n x n array, or adds the sum into the
     leading n x n block of ``out`` (Fortran-ordered, so that its transpose
-    is written row by row).  Terms and sector pairs are added in order; a
-    one-sided term touches only its non-zero entries and a sandwich is
-    built one slab at a time, which gives the same bits as adding every
-    full kron block.
+    is written row by row).  Each sector-pair block is copied out one chunk
+    at a time (whole l-slabs, or one slab split along k), which gets every
+    term in order before it is written back: the bits of the full kron blocks.
     """
     if out is None:
         out = np.zeros((space.n, space.n), dtype=complex, order="F")
@@ -142,33 +144,46 @@ def assemble(space: Space, terms, out: np.ndarray | None = None) -> np.ndarray:
     # as blk[l, k, j, i] = B[l, j] A^T[k, i], is added into the C-ordered out.T
     LT = out.T
     eye = np.eye(space.dim, dtype=complex)
-    for t in terms:
-        A = eye if t.left is None else t.left
-        B = eye if t.right is None else t.right
-        for sa, offa in zip(space.sectors, space.offsets):
-            ma = len(sa)
-            for sc, offc in zip(space.sectors, space.offsets):
-                mc = len(sc)
-                Ablk = A[np.ix_(sa, sc)]
-                Bblk = B[np.ix_(sc, sa)]
-                if not (Ablk.any() and Bblk.any()):
-                    continue   # an identity factor leaves only sa == sc
-                blk = LT[offc : offc + mc * mc, offa : offa + ma * ma].reshape(mc, mc, ma, ma)
-                # the products skipped below are exact zeros, so the sums
-                # are bit for bit those of the full kron(B, A^T)
-                if t.right is None:   # B = 1: non-zero only where l == j
-                    a = Ablk.T * t.coef
-                    for j in range(ma):
-                        blk[j, :, j, :] += a
-                elif t.left is None:   # A = 1: non-zero only where k == i
-                    b = Bblk * t.coef
-                    for k in range(ma):
-                        blk[:, k, :, k] += b
-                else:   # a sandwich, one l-slab at a time
-                    for l in range(mc):
-                        slab = np.multiply(Bblk[l, None, :, None], Ablk.T[:, None, :], order="C")
-                        slab *= t.coef
-                        blk[l] += slab
+    work = np.empty((2, max(_CHUNK_BYTES // 16, max(map(len, space.sectors)) ** 2)), complex)
+    for sa, offa in zip(space.sectors, space.offsets):
+        for sc, offc in zip(space.sectors, space.offsets):
+            ma, mc, ac, ca = len(sa), len(sc), np.ix_(sa, sc), np.ix_(sc, sa)
+            parts = []
+            for t in terms:
+                if t.left is not None and t.right is not None:
+                    Ablk, Bblk = t.left[ac], t.right[ca]
+                    if Ablk.any() and Bblk.any():
+                        parts.append(("sandwich", Bblk, Ablk.T, t.coef))
+                elif offa == offc:   # an identity factor leaves only sa == sc
+                    kind = "lj" if t.right is None else "ki"
+                    X = (eye if t.left is None else t.left)[ac].T if kind == "lj" else t.right[ca]
+                    if X.any():
+                        parts.append((kind, X * t.coef, None, None))
+            if not parts:
+                continue
+            blk = LT[offc : offc + mc * mc, offa : offa + ma * ma].reshape(mc, mc, ma, ma)
+            nl = max(1, _CHUNK_BYTES // (16 * ma * ma * mc))   # whole l-slabs per chunk,
+            nk = min(mc, max(1, _CHUNK_BYTES // (16 * ma * ma)))   # or k-rows of one slab
+            w, tmp = work[:, : min(nl, mc) * nk * ma * ma].reshape(2, -1, nk, ma, ma)
+            s0, s1, s2, s3 = w.strides
+            for l0, k0 in itertools.product(range(0, mc, nl), range(0, mc, nk)):
+                L, K = slice(l0, l0 + nl), slice(k0, k0 + nk)
+                wc, tc = w[: mc - l0, : mc - k0], tmp[: mc - l0, : mc - k0]
+                wc[...] = blk[L, K]
+                if offa == offc:   # diagonals wc[p, k, l0 + p, i] and wc[p, k, j, k0 + k]
+                    on_lj = np.ndarray(wc.shape[:3], complex, w, l0 * s2, (s0 + s2, s1, s3))
+                    on_ki = np.ndarray(wc.shape[:3], complex, w, k0 * s3, (s0, s1 + s3, s2))
+                for kind, X, Y, c in parts:
+                    if kind == "lj":
+                        on_lj += X[K]
+                    elif kind == "ki":
+                        on_ki += X[L, None]
+                    else:
+                        np.multiply(X[L, None, :, None], Y[None, K, None, :], out=tc)
+                        if c != 1 and c != -1:   # skipping +-1 changes at most the
+                            tc *= c              # sign of a zero, which the sum cannot see
+                        (np.subtract if c == -1 else np.add)(wc, tc, out=wc)
+                blk[L, K] = wc
     return out
 
 

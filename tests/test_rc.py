@@ -257,18 +257,21 @@ def test_memory_guard_blocks_oversized_space(monkeypatch):
         assemble_rcme(ModelParams(), 10)
 
 
-def test_build_and_factorization_hold_one_bordered_array():
-    """Peak memory of a build plus its LU: the bordered buffer and one slab.
+@pytest.mark.parametrize("M", [14, 22])
+def test_build_and_factorization_hold_one_bordered_array(M):
+    """Peak memory of a build plus its LU: the bordered buffer, and little else.
 
-    Assembly writes one-sided terms on their non-zeros and sandwiches one
-    O(m^3) slab at a time straight into the (n+1)^2 bordered buffer, and the
-    LU overwrites the buffer; a block-sized temporary, a separate generator
-    matrix or a copy made for the factorization would push the peak well
-    past this bound.
+    Assembly copies each sector-pair block of the (n+1)^2 bordered buffer
+    through a chunk of at most 256 KB, adds every term into it (sandwich
+    products in one temporary of the same size) and writes it back, and
+    the LU overwrites the buffer.  The chunk, the temporary and one sector
+    pair's m x m term blocks are small next to the buffer and fit inside the
+    bound's 25 % and m^3 allowances; a block-sized temporary, a separate
+    generator matrix or a copy made for the factorization would not.
     """
     tracemalloc.start()
     try:
-        L = assemble_rcme(regime_params(1), 14)
+        L = assemble_rcme(regime_params(1), M)
         L.bordered_lu()
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -11,6 +11,7 @@ import pytest
 import scipy.linalg
 
 import nanojunction
+from nanojunction import superop
 from nanojunction.model import regime_params
 from nanojunction.rc import assemble_rcme
 from nanojunction.superop import (
@@ -104,9 +105,15 @@ def test_term_block_matches_sandwich():
         assert np.allclose(sp.devec(assemble(sp, [t]) @ sp.vec(rho)), t.apply(rho))
 
 
-def test_assembly_is_bit_identical_to_full_kron_blocks():
-    """Writing one-sided terms on their non-zeros and sandwiches slab by slab
-    skips only exact zeros, so every entry must match the dense blocks' bits."""
+def _bits(a):
+    """The raw bits of every entry: unlike ==, they tell -0.0 from +0.0."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def test_assembly_is_bit_identical_to_full_kron_blocks(monkeypatch):
+    """Chunked, term-ordered assembly skips only exact zeros (the off-diagonal
+    entries of one-sided terms, multiplications by +-1), so every entry must
+    carry the dense blocks' bits, on sectors not contiguous in the basis."""
     rng = np.random.default_rng(9)
     sp = Space([0, 1, 1, 2, 1, 0])
     terms = [TaggedTerm(0.3 - 0.1j),
@@ -114,10 +121,27 @@ def test_assembly_is_bit_identical_to_full_kron_blocks():
              TaggedTerm(1.1, right=_random_matrix(rng, 6)),
              TaggedTerm(0.4 + 0.9j, left=_random_matrix(rng, 6), right=_random_matrix(rng, 6)),
              TaggedTerm(-2.0, left=_random_matrix(rng, 6)),
-             TaggedTerm(0.5j, right=_random_matrix(rng, 6))]
-    assert np.array_equal(assemble(sp, terms), _kron_reference(sp, terms))
+             TaggedTerm(1.0, left=_random_matrix(rng, 6), right=_random_matrix(rng, 6)),
+             TaggedTerm(0.5j, right=_random_matrix(rng, 6)),
+             TaggedTerm(-1.0, left=_random_matrix(rng, 6), right=_random_matrix(rng, 6)),
+             TaggedTerm(-0.35, left=_random_matrix(rng, 6), right=_random_matrix(rng, 6))]
+    ref = _bits(_kron_reference(sp, terms))
     L = assemble_rcme(regime_params(1, lam=1000.0), 6)
-    assert np.array_equal(assemble(L.space, L.terms), _kron_reference(L.space, L.terms))
+    L_ref = _bits(_kron_reference(L.space, L.terms))
+    # Besides the default, tiny chunks: one (l, k) row each, several whole
+    # slabs with a partial last chunk, and slabs split along k.  A chunk of
+    # one lone product would call NumPy's complex multiply with another loop
+    # (one that rounds without a fused multiply-add) than the dense blocks
+    # do; 48 bytes is the smallest chunk that keeps every product loop of
+    # this space as long as theirs.
+    for chunk_bytes in (superop._CHUNK_BYTES, 48, 96, 288):
+        monkeypatch.setattr(superop, "_CHUNK_BYTES", chunk_bytes)
+        assert np.array_equal(_bits(assemble(sp, terms)), ref)
+        # adding the rest into a partial sum continues the same sums entry by entry
+        out = assemble(sp, terms[:4])
+        assert assemble(sp, terms[4:], out) is out
+        assert np.array_equal(_bits(out), ref)
+        assert np.array_equal(_bits(assemble(L.space, L.terms)), L_ref)
 
 
 def test_sector_assembly_matches_full_space():
