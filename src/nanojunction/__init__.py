@@ -1,7 +1,8 @@
 """Steady-state transport and counting statistics for a two-site nanojunction.
 
 Three Born-Markov treatments of the same junction between two fermionic
-leads and a phonon environment:
+leads and a phonon environment, all with the electronic states set by
+``ModelParams.U`` (U = inf, the default, excludes double occupancy):
 
 * ``assemble_wcme``   -- weak coupling to the phonons (golden-rule rates);
 * ``assemble_rcme``   -- the phonon mode absorbed into the system as a
@@ -18,7 +19,7 @@ voltage.
 __version__ = "0.1.0"
 
 from .fcs import Cumulants, cumulants, mean_current, zero_frequency_noise
-from .model import ElectronicBasis, ModelParams
+from .model import ModelParams
 from .model import bose, drude_lorentz, fermi, regime_params
 from .rc import AugmentedSystem, LadderCertificate
 from .rc import assemble_arcme, assemble_rcme, build_augmented_hamiltonian
@@ -32,7 +33,7 @@ from .wcme import assemble_wcme
 
 __all__ = [
     "AugmentedSystem", "BracketError", "ConvergenceFailure", "Cumulants",
-    "ElectronicBasis", "LadderCertificate", "Liouvillian", "ModelParams",
+    "LadderCertificate", "Liouvillian", "ModelParams",
     "NonUniqueSteadyState", "Space", "SteadyState", "TaggedTerm",
     "TransportReport", "assemble_arcme", "assemble_rcme", "assemble_wcme",
     "bose", "build_augmented_hamiltonian", "build_generator",

@@ -1,23 +1,22 @@
-"""Electronic model: parameters, basis, coupling operators, bath functions.
+"""Electronic model: parameters, states, coupling operators, bath functions.
 
 The junction is a two-site system (left dot L, right dot R) between two
 wideband fermionic leads, with the inter-site coherence coupled to a bosonic
-environment of Drude-Lorentz form (``drude_lorentz``).  After the Jordan-Wigner transformation the
-electronic Hilbert space is spanned by {G, L, R, D} (empty, left-occupied,
-right-occupied, doubly occupied); the lead coupling operators pick up a sign
-on the G<->L transitions from the string operator.
+environment of Drude-Lorentz form (``drude_lorentz``).  After the
+Jordan-Wigner transformation the states are G, L, R and D (empty, left, right
+and double occupancy); U alone picks the ones kept (``states``), and the lead
+operators pick up a sign on the G<->L transitions from the string operator.
 
 All energies are in units of the reference inverse temperature (hbar = k_B = 1),
 and the chemical-potential gauge is mu_L = 0, mu_R = V.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from scipy.special import expit
-
-LABELS_FULL = ("G", "L", "R", "D")
 
 
 @dataclass(frozen=True)
@@ -30,7 +29,7 @@ class ModelParams:
 
     eps_L: float = 1.0
     Delta: float = 2.0           # eps_R - eps_L
-    U: float = 1e3
+    U: float = math.inf          # Coulomb energy; inf excludes double occupancy
     mu_L: float = 0.0
     mu_R: float = 0.1            # = V in the mu_L = 0 gauge
     beta_L: float = 1.0
@@ -43,6 +42,9 @@ class ModelParams:
     gamma: float = 100.0
 
     def __post_init__(self):
+        for f in fields(self):
+            if math.isnan(getattr(self, f.name)):
+                raise ValueError(f"model parameter {f.name} is NaN")
         if min(self.beta_L, self.beta_R, self.beta_ph) <= 0:
             raise ValueError("inverse temperatures must be positive")
         if self.Gamma_L < 0 or self.Gamma_R < 0:
@@ -84,49 +86,34 @@ def regime_params(which: int, **overrides) -> ModelParams:
     return ModelParams(**base)
 
 
-@dataclass(frozen=True)
-class ElectronicBasis:
-    """Ordered electronic basis {G, L, R, D}, optionally without |D>.
-
-    With ``project_out_double`` the working space is {G, L, R}: the hard
-    Coulomb-blockade limit where double occupancy is excluded exactly.
-    """
-
-    project_out_double: bool = False
-
-    @property
-    def labels(self) -> tuple:
-        return LABELS_FULL[:3] if self.project_out_double else LABELS_FULL
-
-    @property
-    def dim(self) -> int:
-        return len(self.labels)
-
-    def index(self, label: str) -> int:
-        return self.labels.index(label)
-
-    @property
-    def electron_numbers(self) -> np.ndarray:
-        """Electron count per basis state (G:0, L:1, R:1, D:2)."""
-        n = {"G": 0, "L": 1, "R": 1, "D": 2}
-        return np.array([n[s] for s in self.labels])
+# Electron number of each electronic state: empty, left dot, right dot, both.
+ELECTRONS = {"G": 0, "L": 1, "R": 1, "D": 2}
 
 
-def _ket_bra(b: ElectronicBasis, i: str, j: str) -> np.ndarray:
-    m = np.zeros((b.dim, b.dim), dtype=complex)
-    m[b.index(i), b.index(j)] = 1.0
+def states(p: ModelParams) -> tuple:
+    """States U admits: {G, L, R} at U = inf (hard Coulomb blockade), else {G, L, R, D}."""
+    return ("G", "L", "R") if p.U == math.inf else ("G", "L", "R", "D")
+
+
+def electron_numbers(p: ModelParams) -> np.ndarray:
+    """Electron count per state of ``states(p)``."""
+    return np.array([ELECTRONS[s] for s in states(p)])
+
+
+def _ket_bra(p: ModelParams, i: str, j: str) -> np.ndarray:
+    labels = states(p)
+    m = np.zeros((len(labels), len(labels)), dtype=complex)
+    m[labels.index(i), labels.index(j)] = 1.0
     return m
 
 
-def build_system_hamiltonian(p: ModelParams, b: ElectronicBasis) -> np.ndarray:
+def build_system_hamiltonian(p: ModelParams) -> np.ndarray:
     """Electronic Hamiltonian diag(0, eps_L, eps_R[, eps_L+eps_R+U])."""
-    energies = [0.0, p.eps_L, p.eps_R]
-    if not b.project_out_double:
-        energies.append(p.eps_L + p.eps_R + p.U)
-    return np.diag(np.array(energies, dtype=complex))
+    energy = {"G": 0.0, "L": p.eps_L, "R": p.eps_R, "D": p.eps_L + p.eps_R + p.U}
+    return np.diag(np.array([energy[s] for s in states(p)], dtype=complex))
 
 
-def build_lead_coupling_ops(b: ElectronicBasis):
+def build_lead_coupling_ops(p: ModelParams):
     """Lead coupling operators (A1, A3) after Jordan-Wigner.
 
     A1 = -|G><L| + |R><D| and A3 = |G><R| + |L><D| remove an electron from
@@ -134,17 +121,17 @@ def build_lead_coupling_ops(b: ElectronicBasis):
     one.  The minus sign on the G<->L transition is the Jordan-Wigner string
     sign and is load-bearing for interference terms.
     """
-    A1 = -_ket_bra(b, "G", "L")
-    A3 = _ket_bra(b, "G", "R")
-    if not b.project_out_double:
-        A1 = A1 + _ket_bra(b, "R", "D")
-        A3 = A3 + _ket_bra(b, "L", "D")
+    A1 = -_ket_bra(p, "G", "L")
+    A3 = _ket_bra(p, "G", "R")
+    if "D" in states(p):
+        A1 = A1 + _ket_bra(p, "R", "D")
+        A3 = A3 + _ket_bra(p, "L", "D")
     return A1, A3
 
 
-def build_phonon_coupling_op(b: ElectronicBasis) -> np.ndarray:
+def build_phonon_coupling_op(p: ModelParams) -> np.ndarray:
     """Inter-site coherence operator s = |L><R| + |R><L| (phonon coupling)."""
-    return _ket_bra(b, "L", "R") + _ket_bra(b, "R", "L")
+    return _ket_bra(p, "L", "R") + _ket_bra(p, "R", "L")
 
 
 def drude_lorentz(p: ModelParams, omega):

@@ -6,8 +6,10 @@ absorbed into the system Hamiltonian, plus a residual Ohmic bath
 J_res(nu) = gamma * nu / (2 pi omega0) that is treated at second order
 (Strasberg et al., New J. Phys. 18, 073007 (2016)).  The three numbers come
 straight from ``ModelParams`` (lam, omega0, gamma); only the Fock cutoff M
-is added.  H' is diagonalized charge sector by charge sector of the product
-basis, and that one ``Space`` is also the restricted space of the generators.
+is added, and U decides the electronic states as everywhere (``model.states``:
+{G, L, R} at U = inf, so n = 5M^2, else {G, L, R, D} with n = 6M^2).  H' is
+diagonalized charge sector by charge sector of the product basis, and that
+one ``Space`` is also the restricted space of the generators.
 Two generators are built on the augmented space:
 
 * ``assemble_rcme``: leads filtered at the transition frequencies of the full
@@ -30,11 +32,11 @@ from functools import partial
 import numpy as np
 
 from .model import (
-    ElectronicBasis,
     ModelParams,
     build_lead_coupling_ops,
     build_phonon_coupling_op,
     build_system_hamiltonian,
+    electron_numbers,
 )
 from .superop import ConvergenceFailure, Liouvillian, Space, TaggedTerm, coherent_terms
 from .wcme import (
@@ -76,7 +78,6 @@ class AugmentedSystem:
     restricted space of both generators built on it.
     """
 
-    basis: ElectronicBasis
     M: int                           # Fock cutoff
     hamiltonian: np.ndarray          # product basis
     space: Space                     # charge sectors of the product basis
@@ -93,22 +94,19 @@ class AugmentedSystem:
         return self.rotate(np.kron(A, np.eye(self.M)))
 
 
-def build_augmented_hamiltonian(p: ModelParams, M: int,
-                                basis: ElectronicBasis | None = None) -> AugmentedSystem:
+def build_augmented_hamiltonian(p: ModelParams, M: int) -> AugmentedSystem:
     """H' = H_el + lam s^2 + kappa s (a + a^dag) + Omega a^dag a, diagonalized."""
     if M < 1:
         raise ValueError(f"Fock truncation M must be at least 1, got {M}")
-    if basis is None:
-        basis = ElectronicBasis(project_out_double=True)
-    Hel = build_system_hamiltonian(p, basis)
-    s = build_phonon_coupling_op(basis)
+    Hel = build_system_hamiltonian(p)
+    s = build_phonon_coupling_op(p)
     a = ladder_op(M)
     x = a + a.conj().T
     eye_f = np.eye(M, dtype=complex)
     Hp = (np.kron(Hel + p.lam * (s @ s), eye_f)
           + np.sqrt(p.lam * p.omega0) * np.kron(s, x)
-          + p.omega0 * np.kron(np.eye(basis.dim, dtype=complex), a.conj().T @ a))
-    space = Space(np.repeat(basis.electron_numbers, M))
+          + p.omega0 * np.kron(np.eye(len(Hel), dtype=complex), a.conj().T @ a))
+    space = Space(np.repeat(electron_numbers(p), M))
     evals = np.empty(Hp.shape[0])
     W = np.zeros_like(Hp)
     for idx in space.sectors:
@@ -116,7 +114,7 @@ def build_augmented_hamiltonian(p: ModelParams, M: int,
     residual = float(np.max(np.abs(Hp @ W - W * evals)))
     if residual > 1e-9:
         raise ConvergenceFailure(f"augmented eigendecomposition residual {residual:.3e}")
-    return AugmentedSystem(basis=basis, M=M, hamiltonian=Hp, space=space,
+    return AugmentedSystem(M=M, hamiltonian=Hp, space=space,
                            evals=evals, modes=W, residual=residual)
 
 
@@ -126,17 +124,17 @@ def build_rate_operators(aug: AugmentedSystem, p: ModelParams):
     A_left / A_right remove an electron into the left / right lead; the
     residual bath couples to the RC displacement a + a^dag.
     """
-    A1, A3 = build_lead_coupling_ops(aug.basis)
+    A1, A3 = build_lead_coupling_ops(p)
     a = ladder_op(aug.M)
-    B = aug.rotate(np.kron(np.eye(aug.basis.dim, dtype=complex), a + a.conj().T))
+    B = aug.rotate(np.kron(np.eye(len(A1), dtype=complex), a + a.conj().T))
     chi, phi = bose_half(B, aug.evals, partial(residual_density, p),
                          p.gamma / (2.0 * np.pi * p.omega0), p.beta_ph)
     return aug.lift(A1), aug.lift(A3), bosonic_dissipator_terms(B, chi, phi)
 
 
-def _augmented_parts(p: ModelParams, M: int, basis: ElectronicBasis | None):
+def _augmented_parts(p: ModelParams, M: int):
     """What both RC generators share: guarded H', rate operators, diag(evals)."""
-    aug = build_augmented_hamiltonian(p, M, basis)
+    aug = build_augmented_hamiltonian(p, M)
     if aug.space.n > MAX_RESTRICTED_DIM:
         raise ConvergenceFailure(
             f"restricted dimension {aug.space.n} exceeds the dense-solver guard "
@@ -144,10 +142,9 @@ def _augmented_parts(p: ModelParams, M: int, basis: ElectronicBasis | None):
     return aug, *build_rate_operators(aug, p), np.diag(aug.evals).astype(complex)
 
 
-def assemble_rcme(p: ModelParams, M: int,
-                  basis: ElectronicBasis | None = None) -> Liouvillian:
+def assemble_rcme(p: ModelParams, M: int) -> Liouvillian:
     """Non-additive generator: leads filtered at augmented frequencies."""
-    aug, A_left, A_right, residual_bath, Hd = _augmented_parts(p, M, basis)
+    aug, A_left, A_right, residual_bath, Hd = _augmented_parts(p, M)
     terms = coherent_terms(Hd)
     terms += build_wcme_lead_dissipator(A_left, aug.evals, p.Gamma_L,
                                         p.beta_L, p.mu_L, "left")
@@ -157,18 +154,17 @@ def assemble_rcme(p: ModelParams, M: int,
     return Liouvillian(space=aug.space, terms=terms, method="rcme", energy_op=Hd)
 
 
-def assemble_arcme(p: ModelParams, M: int,
-                   basis: ElectronicBasis | None = None) -> Liouvillian:
+def assemble_arcme(p: ModelParams, M: int) -> Liouvillian:
     """Additive generator: bare-electronic lead dissipators on the augmented space.
 
     Lead terms are built at the transition frequencies of the bare electronic
     Hamiltonian and then lifted, so the phonon mode cannot renormalize them.
     Energy bookkeeping stays with the bare electronic energies.
     """
-    aug, _, _, residual_bath, Hd = _augmented_parts(p, M, basis)
-    Hel = build_system_hamiltonian(p, aug.basis)
+    aug, _, _, residual_bath, Hd = _augmented_parts(p, M)
+    Hel = build_system_hamiltonian(p)
     evals_el = np.diag(Hel).real
-    A1, A3 = build_lead_coupling_ops(aug.basis)
+    A1, A3 = build_lead_coupling_ops(p)
     bare = build_wcme_lead_dissipator(A1, evals_el, p.Gamma_L, p.beta_L, p.mu_L, "left")
     bare += build_wcme_lead_dissipator(A3, evals_el, p.Gamma_R, p.beta_R, p.mu_R, "right")
     terms = [TaggedTerm(t.coef,
@@ -181,18 +177,17 @@ def assemble_arcme(p: ModelParams, M: int,
     return Liouvillian(space=aug.space, terms=terms, method="arcme", energy_op=aug.lift(Hel))
 
 
-def build_generator(p: ModelParams, method: str, M: int | None = None,
-                    basis: ElectronicBasis | None = None) -> Liouvillian:
+def build_generator(p: ModelParams, method: str, M: int | None = None) -> Liouvillian:
     """Generator of one of ``METHODS``; the RC methods need the Fock cutoff M."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r} (choose from {', '.join(METHODS)})")
     if method == "wcme":
-        return assemble_wcme(p, basis)
+        return assemble_wcme(p)
     if M is None:
         raise ValueError(f"method {method!r} needs a Fock truncation M")
     if method == "rcme":
-        return assemble_rcme(p, M, basis)
-    return assemble_arcme(p, M, basis)
+        return assemble_rcme(p, M)
+    return assemble_arcme(p, M)
 
 
 @dataclass

@@ -86,11 +86,6 @@ class Space:
         self.n = len(self.index)
         self.trace_vec = (self.index % (d + 1) == 0).astype(float)
 
-    @classmethod
-    def full(cls, dim: int) -> "Space":
-        """Unrestricted space (single sector): plain column stacking."""
-        return cls(np.zeros(dim))
-
     def vec(self, rho: np.ndarray) -> np.ndarray:
         """Restrict and column-stack a d x d matrix."""
         return rho.reshape(-1)[self.index].astype(complex, copy=False)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fcs import cumulants, mean_current
-from .model import ElectronicBasis, ModelParams
+from .model import ModelParams
 from .rc import METHODS, LadderCertificate, build_generator, converge_in_levels
 from .superop import ConvergenceFailure, Liouvillian, SteadyState, apply_terms, steady_state
 
@@ -94,11 +94,10 @@ class TransportReport:
 
 
 def transport_report(p: ModelParams, method: str, regime: int, M: int | None = None,
-                     basis: ElectronicBasis | None = None,
                      converged: bool = True) -> TransportReport:
     """Solve one operating point and assemble the full report."""
     eta_c = carnot_efficiency(p, regime)   # rejects a bad regime before any build
-    L = build_generator(p, method, M, basis)
+    L = build_generator(p, method, M)
     ss = steady_state(L)
     cum = cumulants(L, ss)
     IE_L, IE_R, IE_ph = energy_currents(L, ss)
@@ -144,27 +143,24 @@ def default_bracket(p: ModelParams) -> float:
     return 5.0 * p.Delta * (beta_cold - beta_hot) / beta_cold
 
 
-def _current(p: ModelParams, method: str, M: int | None,
-             basis: ElectronicBasis | None) -> float:
+def _current(p: ModelParams, method: str, M: int | None) -> float:
     """Mean right-lead current of the method's steady state."""
-    L = build_generator(p, method, M, basis)
+    L = build_generator(p, method, M)
     return mean_current(L, steady_state(L))
 
 
 def stopping_voltage(p: ModelParams, method: str = "wcme", M: int | None = None,
-                     basis: ElectronicBasis | None = None, tol: float = 1e-8) -> float:
+                     tol: float = 1e-8) -> float:
     """Bias where the mean current reverses, bisected to tol on [0, default_bracket(p)]."""
-    return bisect_root(lambda V: _current(p.with_bias(V), method, M, basis),
+    return bisect_root(lambda V: _current(p.with_bias(V), method, M),
                        0.0, default_bracket(p), tol=tol)
 
 
-def converge_current(p: ModelParams, method: str = "rcme",
-                     basis: ElectronicBasis | None = None, start: int = 10,
-                     step: int = 4, tol: float = 1e-6,
-                     cap: int = 60) -> LadderCertificate:
+def converge_current(p: ModelParams, method: str = "rcme", start: int = 10,
+                     step: int = 4, tol: float = 1e-6, cap: int = 60) -> LadderCertificate:
     """Ladder convergence of the mean right-lead current."""
     if method not in METHODS or method == "wcme":
         raise ValueError(f"method {method!r} has no Fock ladder; "
                          "use a reaction-coordinate method")
-    return converge_in_levels(lambda M: _current(p, method, M, basis),
+    return converge_in_levels(lambda M: _current(p, method, M),
                               start=start, step=step, tol=tol, cap=cap)

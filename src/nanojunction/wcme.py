@@ -27,12 +27,12 @@ from functools import partial
 import numpy as np
 
 from .model import (
-    ElectronicBasis,
     ModelParams,
     build_lead_coupling_ops,
     build_phonon_coupling_op,
     build_system_hamiltonian,
     drude_lorentz,
+    electron_numbers,
     fermi,
 )
 from .superop import Liouvillian, Space, TaggedTerm, coherent_terms
@@ -104,26 +104,24 @@ def bosonic_dissipator_terms(s: np.ndarray, chi: np.ndarray, phi: np.ndarray) ->
     ]
 
 
-def assemble_wcme(p: ModelParams, basis: ElectronicBasis | None = None) -> Liouvillian:
+def assemble_wcme(p: ModelParams) -> Liouvillian:
     """Full weak-coupling generator: coherent part, both leads, phonons.
 
-    Defaults to the four-state basis (double occupancy suppressed by the
-    large U rather than projected out).  The phonon dissipator needs a
-    non-degenerate inter-site transition, so Delta = 0 is rejected.
+    The electronic states follow U (``model.states``).  The phonon
+    dissipator needs a non-degenerate inter-site transition, so Delta = 0
+    is rejected.
     """
-    if basis is None:
-        basis = ElectronicBasis(project_out_double=False)
     if p.Delta == 0.0:
         raise ValueError("inter-site transition is degenerate (Delta = 0)")
-    H = build_system_hamiltonian(p, basis)
+    H = build_system_hamiltonian(p)
     evals = np.diag(H).real
-    A1, A3 = build_lead_coupling_ops(basis)
-    s = build_phonon_coupling_op(basis)
+    A1, A3 = build_lead_coupling_ops(p)
+    s = build_phonon_coupling_op(p)
     terms = coherent_terms(H)
     terms += build_wcme_lead_dissipator(A1, evals, p.Gamma_L, p.beta_L, p.mu_L, "left")
     terms += build_wcme_lead_dissipator(A3, evals, p.Gamma_R, p.beta_R, p.mu_R, "right")
     chi, phi = bose_half(s, evals, partial(drude_lorentz, p),
                          2.0 / np.pi * p.lam * p.gamma / p.omega0**2, p.beta_ph)
     terms += bosonic_dissipator_terms(s, chi, phi)
-    space = Space(basis.electron_numbers)
+    space = Space(electron_numbers(p))
     return Liouvillian(space=space, terms=terms, method="wcme", energy_op=H)

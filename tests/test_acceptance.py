@@ -20,7 +20,7 @@ import pytest
 
 from counting_oracle import counting_field_oracle
 from nanojunction.fcs import cumulants, mean_current
-from nanojunction.model import ElectronicBasis, ModelParams, regime_params
+from nanojunction.model import ModelParams, regime_params
 from nanojunction.rc import assemble_arcme, assemble_rcme
 from nanojunction.superop import Liouvillian, Space, coherent_terms, steady_state
 from nanojunction.thermo import (
@@ -31,7 +31,6 @@ from nanojunction.thermo import (
 )
 from nanojunction.wcme import assemble_wcme, build_wcme_lead_dissipator
 
-THREE_STATE = ElectronicBasis(project_out_double=True)
 ETA_CARNOT = 0.9
 LAMBDA_SWEEP = (1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1000.0)
 WINDOW_PARAMS = regime_params(2, lam=5.0)     # tests 09 and the companion
@@ -147,15 +146,14 @@ def test_criterion_01_weak_coupling_efficiency_identity():
 
 
 def test_criterion_02_carnot_approach_at_stopping_voltage():
-    # The blockade-limit basis keeps the energy traces clean at vanishing
-    # current: the full basis carries a level at ~1e3 whose weight is
-    # ~exp(-1000) yet whose energy amplifies solver roundoff in the heat
-    # intake far above 1e-6 once c1 drops to ~1e-11.  The two bases agree
-    # on every quantity at finite current.
+    # The default U = inf (three states) keeps the energy traces clean at
+    # vanishing current.  A large finite U (1e3) adds |D> at ~1e3, whose
+    # weight is ~exp(-1000) yet whose energy amplifies solver roundoff in
+    # the heat intake far above 1e-6 once c1 drops to ~1e-11.  The two
+    # agree on every quantity at finite current.
     p = regime_params(1)
-    vs = stopping_voltage(p, "wcme", basis=THREE_STATE)
-    rep = transport_report(p.with_bias(vs * (1.0 - 1e-8)), "wcme", 1,
-                           basis=THREE_STATE)
+    vs = stopping_voltage(p, "wcme")
+    rep = transport_report(p.with_bias(vs * (1.0 - 1e-8)), "wcme", 1)
     print(f"V_S={vs:.12f} eta={rep.eta:.12f} "
           f"|eta - 0.9|={abs(rep.eta - ETA_CARNOT):.3e}")
     assert abs(rep.eta - ETA_CARNOT) < 1e-6

@@ -150,6 +150,25 @@ def test_csv_cells_roundtrip_and_match_direct_solve(tmp_path):
         assert cells["converged"] == "true" and cells["M"] == ""
 
 
+def test_model_U_reaches_every_method(tmp_path):
+    """[model] U = 0.8 reaches the reaction-coordinate rows, not only wcme."""
+    ini = tmp_path / "u.ini"
+    ini.write_text("[model]\nU = 0.8\n")
+    out = tmp_path / "u.csv"
+    assert main([str(ini), "--method", "wcme,rcme", "--regime", "2", "--sweep", "V",
+                 "--from", "0.5", "--to", "0.5", "--points", "1", "--rc-levels", "6",
+                 "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()[1:]
+    p = regime_params(2, U=0.8).with_bias(0.5)
+    for line, method, M in zip(lines, ("wcme", "rcme"), (None, 6)):
+        cells = dict(zip(COLUMNS, line.split(",")))
+        rep = transport_report(p, method, 2, M=M)
+        assert cells["method"] == method
+        assert float(cells["c1"]) == rep.c1 and float(cells["c2"]) == rep.c2
+    blockade = transport_report(regime_params(2).with_bias(0.5), "rcme", 2, M=6)
+    assert float(cells["c1"]) != blockade.c1          # U = 0.8 moved the rcme row
+
+
 def test_repeat_runs_are_byte_identical(tmp_path):
     args = ["--method", "wcme,rcme", "--regime", "2", "--sweep", "lambda",
             "--from", "1", "--to", "3", "--points", "2", "--rc-levels", "6"]
@@ -225,7 +244,8 @@ def test_bad_invocations_exit_2(tmp_path, capsys):
                         ("[modle]\nlam = 3\n", "[modle]"),
                         ("[sweep]\nlog = maybe\n", "'log'"),
                         ("[rc]\nauto = true\ntol = -1\n", "tol"),
-                        ("[model]\nbeta_R = -1\n", "inverse temperatures")]:
+                        ("[model]\nbeta_R = -1\n", "inverse temperatures"),
+                        ("[model]\nlam = nan\n", "lam is NaN")]:
         ini.write_text(text)
         capsys.readouterr()
         assert main([str(ini)] + bias) == 2, text

@@ -1,18 +1,22 @@
 """Unit checks for the electronic model, coupling operators and bath functions."""
+import math
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from nanojunction.model import (
-    ElectronicBasis,
     ModelParams,
     bose,
     build_lead_coupling_ops,
     build_phonon_coupling_op,
     build_system_hamiltonian,
     drude_lorentz,
+    electron_numbers,
     fermi,
     regime_params,
+    states,
 )
 
 
@@ -34,6 +38,12 @@ def test_parameter_validation(bad):
         ModelParams(**bad)
 
 
+@pytest.mark.parametrize("name", [f.name for f in fields(ModelParams)])
+def test_nan_is_rejected_in_every_field(name):
+    with pytest.raises(ValueError, match=f"{name} is NaN"):
+        ModelParams(**{name: math.nan})
+
+
 def test_regime_presets():
     r1 = regime_params(1)
     assert (r1.beta_L, r1.beta_R, r1.beta_ph) == (0.1, 1.0, 1.0)
@@ -45,45 +55,45 @@ def test_regime_presets():
 
 
 def test_basis_projection():
-    b4 = ElectronicBasis()
-    b3 = ElectronicBasis(project_out_double=True)
-    assert b4.labels == ("G", "L", "R", "D") and b4.dim == 4
-    assert b3.labels == ("G", "L", "R") and b3.dim == 3
-    assert list(b4.electron_numbers) == [0, 1, 1, 2]
-    assert list(b3.electron_numbers) == [0, 1, 1]
+    """U alone decides the states: infinite U excludes double occupancy."""
+    p4, p3 = ModelParams(U=1e3), ModelParams()
+    assert p3.U == math.inf
+    assert states(p4) == ("G", "L", "R", "D") and states(ModelParams(U=0.0)) == states(p4)
+    assert states(p3) == ("G", "L", "R")
+    assert list(electron_numbers(p4)) == [0, 1, 1, 2]
+    assert list(electron_numbers(p3)) == [0, 1, 1]
 
 
 def test_hamiltonian_energies():
     p = ModelParams(eps_L=1.0, Delta=2.0, U=5.0)
-    H4 = build_system_hamiltonian(p, ElectronicBasis())
+    H4 = build_system_hamiltonian(p)
     assert np.allclose(np.diag(H4), [0.0, 1.0, 3.0, 9.0])
-    H3 = build_system_hamiltonian(p, ElectronicBasis(project_out_double=True))
+    H3 = build_system_hamiltonian(ModelParams(eps_L=1.0, Delta=2.0))
     assert H3.shape == (3, 3) and np.allclose(np.diag(H3), [0.0, 1.0, 3.0])
 
 
 def test_lead_ops_jw_signs_and_charge():
-    b = ElectronicBasis()
-    A1, A3 = build_lead_coupling_ops(b)
-    G, L, R, D = (b.index(s) for s in "GLRD")
+    p = ModelParams(U=1e3)
+    A1, A3 = build_lead_coupling_ops(p)
+    G, L, R, D = (states(p).index(s) for s in "GLRD")
     assert A1[G, L] == -1.0 and A1[R, D] == 1.0
     assert A3[G, R] == 1.0 and A3[L, D] == 1.0
     # both remove exactly one electron: [A, N] = A
-    N = np.diag(b.electron_numbers.astype(complex))
+    N = np.diag(electron_numbers(p).astype(complex))
     for A in (A1, A3):
         assert np.allclose(A @ N - N @ A, A)
 
 
 def test_lead_ops_projected_basis():
-    b = ElectronicBasis(project_out_double=True)
-    A1, A3 = build_lead_coupling_ops(b)
+    A1, A3 = build_lead_coupling_ops(ModelParams())
     assert np.count_nonzero(A1) == 1 and np.count_nonzero(A3) == 1
 
 
 def test_phonon_coupling_structure():
-    b = ElectronicBasis()
-    s = build_phonon_coupling_op(b)
+    p = ModelParams(U=1e3)
+    s = build_phonon_coupling_op(p)
     assert np.allclose(s, s.conj().T)
-    N = np.diag(b.electron_numbers.astype(complex))
+    N = np.diag(electron_numbers(p).astype(complex))
     assert np.allclose(s @ N, N @ s)
     assert np.allclose(np.diag(s @ s), [0.0, 1.0, 1.0, 0.0])
 

@@ -1,9 +1,9 @@
 """Generator invariants over random parameters, for every registered method.
 
 Each example draws a method, a regime, lam in [0.01, 10], a bias V in
-[-1, 2], Gamma_L in [0.01, 1] and the electronic basis, with or without the
-doubly occupied state (WCME defaults to four states, the RC methods to
-three, so each method is also drawn in its other basis), and solves at Fock
+[-1, 2], Gamma_L in [0.01, 1] and the Coulomb energy U from {inf, 1e3}, so
+every method runs in both electronic state spaces: {G, L, R} at U = inf,
+with the doubly occupied state added at finite U.  It solves at Fock
 cutoff M = 6.  Trace
 and Hermiticity preservation, c2 >= 0 and the equality of left- and
 right-counted currents must hold for all three methods.  Energy balance is
@@ -17,18 +17,20 @@ at M = 6, 10 and 14, fed by heat drawn from the phonons (IE_ph > 0).  Its
 lead rates see the bare addition energies while the mode dresses the
 system, and that current is the additive artefact itself, not truncation.
 """
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nanojunction import ElectronicBasis, ModelParams, build_generator, cumulants
+from nanojunction import ModelParams, build_generator, cumulants
 from nanojunction import energy_currents, mean_current, regime_params, steady_state
 from nanojunction.rc import METHODS
 from nanojunction.superop import assemble
 
 M = 6
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=40)
-BASES = st.builds(ElectronicBasis, project_out_double=st.booleans())
+COULOMB = st.sampled_from([math.inf, 1e3])   # three states, four states
 
 
 def _hermiticity_defect(L, dense) -> float:
@@ -44,10 +46,10 @@ def _hermiticity_defect(L, dense) -> float:
 @SETTINGS
 @given(method=st.sampled_from(METHODS), regime=st.sampled_from([1, 2]),
        lam=st.floats(0.01, 10.0), V=st.floats(-1.0, 2.0),
-       Gamma_L=st.floats(0.01, 1.0), basis=BASES)
-def test_invariants_hold_at_random_points(method, regime, lam, V, Gamma_L, basis):
-    p = regime_params(regime, lam=lam, Gamma_L=Gamma_L).with_bias(V)
-    L = build_generator(p, method, M, basis)
+       Gamma_L=st.floats(0.01, 1.0), U=COULOMB)
+def test_invariants_hold_at_random_points(method, regime, lam, V, Gamma_L, U):
+    p = regime_params(regime, lam=lam, Gamma_L=Gamma_L, U=U).with_bias(V)
+    L = build_generator(p, method, M)
     ss = steady_state(L)
     dense = assemble(L.space, L.terms)
     scale = float(np.max(np.abs(dense)))
@@ -67,8 +69,8 @@ def test_invariants_hold_at_random_points(method, regime, lam, V, Gamma_L, basis
 
 @SETTINGS
 @given(method=st.sampled_from(["wcme", "rcme"]), lam=st.floats(0.01, 10.0),
-       Gamma_L=st.floats(0.01, 1.0), basis=BASES)
-def test_equilibrium_carries_no_current(method, lam, Gamma_L, basis):
-    p = ModelParams(lam=lam, Gamma_L=Gamma_L, mu_R=0.0)   # one temperature, V = 0
-    L = build_generator(p, method, M, basis)
+       Gamma_L=st.floats(0.01, 1.0), U=COULOMB)
+def test_equilibrium_carries_no_current(method, lam, Gamma_L, U):
+    p = ModelParams(lam=lam, Gamma_L=Gamma_L, U=U, mu_R=0.0)   # one temperature, V = 0
+    L = build_generator(p, method, M)
     assert abs(mean_current(L, steady_state(L))) < 1e-12

@@ -1,12 +1,14 @@
 """Reaction-coordinate construction and level-ladder convergence."""
 import itertools
+import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from nanojunction.model import ElectronicBasis, ModelParams, drude_lorentz, regime_params
+from nanojunction.model import ModelParams, drude_lorentz, regime_params, states
 import nanojunction.rc as rc_mod
 from nanojunction.rc import (
     LadderCertificate,
@@ -28,8 +30,7 @@ def test_mapping_reproduces_reorganization_energy():
     p = ModelParams()
     M = 10
     H = build_augmented_hamiltonian(p, M).hamiltonian
-    b = ElectronicBasis(project_out_double=True)
-    L0, R1 = b.index("L") * M, b.index("R") * M + 1
+    L0, R1 = states(p).index("L") * M, states(p).index("R") * M + 1
     near, _ = quad(lambda w: drude_lorentz(p, w) / w, 0.0, 4.0 * p.omega0,
                    points=[p.omega0], limit=200)
     tail, _ = quad(lambda w: drude_lorentz(p, w) / w, 4.0 * p.omega0, np.inf, limit=200)
@@ -94,10 +95,20 @@ def test_rotation_is_unitary_and_charge_sharp():
 
 def test_single_fock_level_reduces_to_weak_coupling():
     p = ModelParams(lam=0.0)
-    three = ElectronicBasis(project_out_double=True)
     L_rc = assemble_rcme(p, 1)
-    L_w = assemble_wcme(p, three)
+    L_w = assemble_wcme(p)
     assert np.max(np.abs(assemble(L_rc.space, L_rc.terms) - assemble(L_w.space, L_w.terms))) < 1e-12
+
+
+@pytest.mark.parametrize("build", [assemble_rcme, assemble_arcme])
+def test_finite_U_reaches_the_reaction_coordinate_methods(build):
+    """A finite U admits |D> into H', so the space and the current both move."""
+    p = regime_params(2, U=0.8)
+    L, L_inf = build(p, 6), build(replace(p, U=math.inf), 6)
+    assert (L.space.dim, L.space.n) == (24, 6 * 6**2)
+    assert (L_inf.space.dim, L_inf.space.n) == (18, 5 * 6**2)
+    c1, c1_inf = (mean_current(x, steady_state(x)) for x in (L, L_inf))
+    assert abs(c1 - c1_inf) > 1e-2 * abs(c1_inf)
 
 
 def test_single_lead_thermalizes_to_gibbs():
@@ -112,9 +123,8 @@ def test_single_lead_thermalizes_to_gibbs():
 @pytest.mark.parametrize("regime", [1, 2])
 def test_weak_coupling_limit_agrees_with_perturbative_generator(regime):
     p = regime_params(regime, lam=0.01, mu_R=0.1)
-    three = ElectronicBasis(project_out_double=True)
     L_rc = assemble_rcme(p, 10)
-    L_w = assemble_wcme(p, three)
+    L_w = assemble_wcme(p)
     i_rc = mean_current(L_rc, steady_state(L_rc))
     i_w = mean_current(L_w, steady_state(L_w))
     assert i_rc == pytest.approx(i_w, rel=5e-2)

@@ -9,17 +9,18 @@ classical chain, built independently here, is the oracle for the full
 non-secular generator.
 """
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from nanojunction.model import (
-    ElectronicBasis,
     ModelParams,
     bose,
     drude_lorentz,
     fermi,
     regime_params,
+    states,
 )
 from nanojunction.superop import apply_terms, assemble, steady_state
 from nanojunction.wcme import assemble_wcme
@@ -102,8 +103,7 @@ def _dissipator_action(L, baths, rho):
 def test_lead_rates_with_and_without_interaction_shift():
     p = P_MIXED
     L = assemble_wcme(p)
-    b = ElectronicBasis()
-    G, Lx, R, D = (b.index(s) for s in "GLRD")
+    G, Lx, R, D = (states(p).index(s) for s in "GLRD")
     fL1, fL2, _, _, _, _ = _classical_rates(p)
     proj = np.zeros((4, 4), dtype=complex)
     proj[G, G] = 1.0
@@ -123,8 +123,7 @@ def test_lead_rates_with_and_without_interaction_shift():
 def test_phonon_rates_and_detailed_balance():
     p = P_MIXED
     L = assemble_wcme(p)
-    b = ElectronicBasis()
-    Lx, R = b.index("L"), b.index("R")
+    Lx, R = states(p).index("L"), states(p).index("R")
     *_, absorb, emit = _classical_rates(p)
     projR = np.zeros((4, 4), dtype=complex)
     projR[R, R] = 1.0
@@ -158,7 +157,7 @@ def test_equilibrium_carries_no_current():
 
 
 def test_filled_bands_pin_single_occupancy():
-    p = ModelParams(mu_L=30.0, mu_R=30.0, beta_L=2.0, beta_R=2.0)
+    p = ModelParams(U=1e3, mu_L=30.0, mu_R=30.0, beta_L=2.0, beta_R=2.0)
     L = assemble_wcme(p)
     ss = steady_state(L)
     pops = np.diag(ss.rho).real
@@ -197,7 +196,7 @@ def test_generator_preserves_hermiticity():
 
 
 def test_projected_basis_supported():
-    L = assemble_wcme(regime_params(2), ElectronicBasis(project_out_double=True))
+    L = assemble_wcme(regime_params(2, U=math.inf))
     assert L.space.dim == 3 and L.space.n == 5
     ss = steady_state(L)
     assert np.trace(ss.rho).real == pytest.approx(1.0, abs=1e-12)
