@@ -193,8 +193,10 @@ def write_manifest(path: str, spec: SweepSpec, elapsed: float, failed: int) -> N
         "timings": {"total_seconds": elapsed, "failed_points": failed,
                     "points": len(spec.methods) * spec.points},
     }
+    # strict JSON: a non-finite float (U = inf) is written as the string "inf"
+    manifest = json.loads(json.dumps(manifest), parse_constant=lambda c: repr(float(c)))
     with open(path, "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
+        json.dump(manifest, f, indent=2, sort_keys=True, allow_nan=False)
         f.write("\n")
 
 

@@ -86,8 +86,10 @@ def regime_params(which: int, **overrides) -> ModelParams:
     return ModelParams(**base)
 
 
-# Electron number of each electronic state: empty, left dot, right dot, both.
-ELECTRONS = {"G": 0, "L": 1, "R": 1, "D": 2}
+# Electron number and parity sign of each electronic state: empty, left dot,
+# right dot, both.  Pi = diag(sign) (x) (-1)^{a^dag a} commutes with H' and every
+# dissipator keeps Pi-even operators Pi-even, so the steady state is Pi-even.
+QUANTUM_NUMBERS = {"G": (0, 1), "L": (1, 1), "R": (1, -1), "D": (2, -1)}
 
 
 def states(p: ModelParams) -> tuple:
@@ -95,9 +97,10 @@ def states(p: ModelParams) -> tuple:
     return ("G", "L", "R") if p.U == math.inf else ("G", "L", "R", "D")
 
 
-def electron_numbers(p: ModelParams) -> np.ndarray:
-    """Electron count per state of ``states(p)``."""
-    return np.array([ELECTRONS[s] for s in states(p)])
+def sector_labels(p: ModelParams, M: int) -> np.ndarray:
+    """2 * charge + [Pi odd] per product-basis index (state s, Fock level k < M)."""
+    charge, sign = np.array([QUANTUM_NUMBERS[s] for s in states(p)]).T
+    return (2 * charge[:, None] + (np.outer(sign, (-1) ** np.arange(M)) < 0)).ravel()
 
 
 def _ket_bra(p: ModelParams, i: str, j: str) -> np.ndarray:

@@ -7,9 +7,9 @@ J_res(nu) = gamma * nu / (2 pi omega0) that is treated at second order
 (Strasberg et al., New J. Phys. 18, 073007 (2016)).  The three numbers come
 straight from ``ModelParams`` (lam, omega0, gamma); only the Fock cutoff M
 is added, and U decides the electronic states as everywhere (``model.states``:
-{G, L, R} at U = inf, so n = 5M^2, else {G, L, R, D} with n = 6M^2).  H' is
-diagonalized charge sector by charge sector of the product basis, and that
-one ``Space`` is also the restricted space of the generators.
+{G, L, R} at U = inf, so n = 2.5M^2, else {G, L, R, D} with n = 3M^2).  H' is
+diagonalized charge x parity sector by sector (``model.sector_labels``), and
+that one ``Space`` is also the restricted space of the generators.
 Two generators are built on the augmented space:
 
 * ``assemble_rcme``: leads filtered at the transition frequencies of the full
@@ -36,7 +36,7 @@ from .model import (
     build_lead_coupling_ops,
     build_phonon_coupling_op,
     build_system_hamiltonian,
-    electron_numbers,
+    sector_labels,
 )
 from .superop import ConvergenceFailure, Liouvillian, Space, TaggedTerm, coherent_terms
 from .wcme import (
@@ -53,7 +53,7 @@ METHODS = ("wcme", "rcme", "arcme")
 # Largest restricted superoperator dimension the dense solve path may
 # allocate.  The peak is the (n+1)^2 bordered buffer, which the LU overwrites,
 # plus assembly's working set of a few MB: ~16 (n+1)^2 bytes, ~1.30 GB at
-# n = 9000 (an M = 42 report, n = 8820, peaked at 1278 MB RSS).
+# n = 9000, which is M = 60 (an M = 60 report peaked at 1336 MB RSS).
 MAX_RESTRICTED_DIM = 9000
 
 
@@ -71,16 +71,16 @@ def ladder_op(M: int) -> np.ndarray:
 class AugmentedSystem:
     """System + reaction coordinate (Omega = omega0, kappa = sqrt(lam * omega0)).
 
-    H' lives on the product basis (electronic kron Fock), whose charge
-    sectors ``space`` partitions.  It is diagonalized sector by sector, and
-    each sector's eigencolumns sit at that sector's own positions, so every
-    eigenvector has a sharp electron number and ``space`` is also the
-    restricted space of both generators built on it.
+    H' lives on the product basis (electronic kron Fock), whose charge x
+    parity sectors ``space`` partitions.  It is diagonalized sector by sector,
+    and each sector's eigencolumns sit at its own positions, so every
+    eigenvector has a sharp electron number and parity, and ``space`` is also
+    the restricted space of both generators built on it.
     """
 
     M: int                           # Fock cutoff
     hamiltonian: np.ndarray          # product basis
-    space: Space                     # charge sectors of the product basis
+    space: Space                     # charge x parity sectors of the product basis
     evals: np.ndarray                # eigenvalue per eigencolumn
     modes: np.ndarray = field(repr=False)  # eigencolumns, block-unitary
     residual: float = 0.0            # max |H W - W diag(evals)|
@@ -106,7 +106,7 @@ def build_augmented_hamiltonian(p: ModelParams, M: int) -> AugmentedSystem:
     Hp = (np.kron(Hel + p.lam * (s @ s), eye_f)
           + np.sqrt(p.lam * p.omega0) * np.kron(s, x)
           + p.omega0 * np.kron(np.eye(len(Hel), dtype=complex), a.conj().T @ a))
-    space = Space(np.repeat(electron_numbers(p), M))
+    space = Space(sector_labels(p, M))
     evals = np.empty(Hp.shape[0])
     W = np.zeros_like(Hp)
     for idx in space.sectors:

@@ -1,11 +1,11 @@
 """Superoperator algebra over column-stacked density matrices.
 
-The generators built here conserve total electron number, so the steady state
-and everything traced against it live on the charge-block-diagonal part of the
-density matrix.  ``Space`` restricts vec(rho) to those blocks (dimension
-sum_s m_s^2 over charge sectors of size m_s instead of d^2), which is what
-keeps dense LU factorizations affordable at large reaction-coordinate
-truncations.  A trivial single-sector ``Space`` recovers the full d^2 layout.
+The generators built here conserve electron number and commute with
+rho -> Pi rho Pi (``model.sector_labels``), so the steady state and all traced
+against it live on the blocks rho[S, S] of charge x parity sectors S.
+``Space`` restricts vec(rho) to them (dimension sum_s m_s^2 over sectors of
+size m_s instead of d^2), which keeps dense LU factorizations affordable at
+large reaction-coordinate truncations; a single-sector ``Space`` is all d^2.
 
 Superoperator terms are stored in factorized form, coef * (A . B), i.e.
 rho -> coef * A @ rho @ B, the generator's only stored form: a
@@ -66,13 +66,13 @@ class ConvergenceFailure(Exception):
 
 
 class Space:
-    """Charge-sector-restricted vectorization of d x d matrices.
+    """Sector-restricted vectorization of d x d matrices.
 
     Parameters
     ----------
     numbers : array_like
-        Conserved quantum number (electron count) per Hilbert basis index.
-        Basis indices with equal number form a sector; the restricted space
+        Conserved label per Hilbert basis index (``model.sector_labels``).
+        Basis indices with equal label form a sector; the restricted space
         keeps exactly the same-sector blocks rho[S, S].
     """
 

@@ -32,8 +32,8 @@ from .model import (
     build_phonon_coupling_op,
     build_system_hamiltonian,
     drude_lorentz,
-    electron_numbers,
     fermi,
+    sector_labels,
 )
 from .superop import Liouvillian, Space, TaggedTerm, coherent_terms
 
@@ -123,5 +123,5 @@ def assemble_wcme(p: ModelParams) -> Liouvillian:
     chi, phi = bose_half(s, evals, partial(drude_lorentz, p),
                          2.0 / np.pi * p.lam * p.gamma / p.omega0**2, p.beta_ph)
     terms += bosonic_dissipator_terms(s, chi, phi)
-    space = Space(electron_numbers(p))
+    space = Space(sector_labels(p, 1))
     return Liouvillian(space=space, terms=terms, method="wcme", energy_op=H)

@@ -225,6 +225,20 @@ def test_manifest_records_environment(tmp_path):
     assert manifest["timings"]["failed_points"] == 0
 
 
+def test_manifest_is_strict_json_with_an_infinite_U(tmp_path):
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    ini = tmp_path / "blockade.ini"
+    ini.write_text("[model]\nU = inf\n")
+    out = tmp_path / "b.csv"
+    assert main([str(ini), "--method", "wcme", "--regime", "1", "--sweep", "V",
+                 "--from", "0", "--to", "0.1", "--points", "2", "--out", str(out)]) == 0
+    text = (tmp_path / "b.csv.manifest.json").read_text()
+    manifest = json.loads(text, parse_constant=refuse)
+    assert manifest["parameters"]["model"]["U"] == "inf"
+
+
 def test_bad_invocations_exit_2(tmp_path, capsys):
     assert main([]) == 2                                  # nothing specified
     assert main(["--method", "secular", "--regime", "2", "--sweep", "V",

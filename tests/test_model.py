@@ -13,9 +13,9 @@ from nanojunction.model import (
     build_phonon_coupling_op,
     build_system_hamiltonian,
     drude_lorentz,
-    electron_numbers,
     fermi,
     regime_params,
+    sector_labels,
     states,
 )
 
@@ -60,8 +60,8 @@ def test_basis_projection():
     assert p3.U == math.inf
     assert states(p4) == ("G", "L", "R", "D") and states(ModelParams(U=0.0)) == states(p4)
     assert states(p3) == ("G", "L", "R")
-    assert list(electron_numbers(p4)) == [0, 1, 1, 2]
-    assert list(electron_numbers(p3)) == [0, 1, 1]
+    assert list(sector_labels(p4, 1)) == [0, 2, 3, 5]      # 2 * charge + [Pi odd]
+    assert list(sector_labels(p3, 2)) == [0, 1, 2, 3, 3, 2]
 
 
 def test_hamiltonian_energies():
@@ -78,10 +78,12 @@ def test_lead_ops_jw_signs_and_charge():
     G, L, R, D = (states(p).index(s) for s in "GLRD")
     assert A1[G, L] == -1.0 and A1[R, D] == 1.0
     assert A3[G, R] == 1.0 and A3[L, D] == 1.0
-    # both remove exactly one electron: [A, N] = A
-    N = np.diag(electron_numbers(p).astype(complex))
-    for A in (A1, A3):
+    # both remove exactly one electron: [A, N] = A; A1 is Pi-even, A3 Pi-odd
+    N = np.diag((sector_labels(p, 1) // 2).astype(complex))
+    Pi = np.diag(1 - 2 * (sector_labels(p, 1) % 2))
+    for A, parity in ((A1, 1), (A3, -1)):
         assert np.allclose(A @ N - N @ A, A)
+        assert np.array_equal(Pi @ A @ Pi, parity * A)
 
 
 def test_lead_ops_projected_basis():
@@ -93,8 +95,10 @@ def test_phonon_coupling_structure():
     p = ModelParams(U=1e3)
     s = build_phonon_coupling_op(p)
     assert np.allclose(s, s.conj().T)
-    N = np.diag(electron_numbers(p).astype(complex))
+    N = np.diag((sector_labels(p, 1) // 2).astype(complex))
     assert np.allclose(s @ N, N @ s)
+    Pi = np.diag(1 - 2 * (sector_labels(p, 1) % 2))
+    assert np.array_equal(Pi @ s @ Pi, -s)   # odd like a + a^dag: s (a + a^dag) in H' is even
     assert np.allclose(np.diag(s @ s), [0.0, 1.0, 1.0, 0.0])
 
 

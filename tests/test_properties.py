@@ -6,7 +6,10 @@ every method runs in both electronic state spaces: {G, L, R} at U = inf,
 with the doubly occupied state added at finite U.  It solves at Fock
 cutoff M = 6.  Trace
 and Hermiticity preservation, c2 >= 0 and the equality of left- and
-right-counted currents must hold for all three methods.  Energy balance is
+right-counted currents must hold for all three methods, and so must the
+parity Pi the generators are solved under: every term keeps Pi-even
+operators Pi-even, exactly, and a re-solve on charge sectors alone gives the
+same current and a steady state with no Pi-odd part.  Energy balance is
 an identity for the additive method (its phonon flow is defined by it), so
 it is asserted for WCME and RCME only.
 
@@ -24,7 +27,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nanojunction import ModelParams, build_generator, cumulants
+from nanojunction import Liouvillian, Space
 from nanojunction import energy_currents, mean_current, regime_params, steady_state
+from nanojunction.model import sector_labels
 from nanojunction.rc import METHODS
 from nanojunction.superop import assemble
 
@@ -43,6 +48,32 @@ def _hermiticity_defect(L, dense) -> float:
     return float(np.max(np.abs(Y - Y.conj().T)) / np.max(np.abs(X)))
 
 
+def _parity(f, flips) -> int:
+    """+1 / -1 if a term factor is exactly Pi-even / Pi-odd, 0 if it mixes."""
+    return 1 if not f[flips].any() else -1 if not f[~flips].any() else 0
+
+
+def _parity_holds(L, ss, labels) -> bool:
+    """Pi maps the terms into themselves, exactly, and the charge-only solve agrees.
+
+    Every term keeps Pi-even operators Pi-even (its factors have definite
+    parity, equal for a sandwich, even for a one-sided term), so re-solving
+    the same terms on charge sectors alone gives the same current and a
+    steady state with no Pi-odd part.
+    """
+    sign = 1 - 2 * (labels % 2)
+    flips = np.not_equal.outer(sign, sign)
+    for t in L.terms:
+        parities = [_parity(f, flips) for f in (t.left, t.right) if f is not None]
+        if np.prod(parities) != 1:
+            return False
+    charge_only = Liouvillian(space=Space(labels // 2), terms=L.terms, method=L.method)
+    ss_q = steady_state(charge_only)
+    c1, c1_q = mean_current(L, ss), mean_current(charge_only, ss_q)
+    odd = float(np.max(np.abs(ss_q.rho[flips])))
+    return abs(c1_q - c1) <= 1e-10 * abs(c1) and odd <= 1e-14 * np.max(np.abs(ss_q.rho))
+
+
 @SETTINGS
 @given(method=st.sampled_from(METHODS), regime=st.sampled_from([1, 2]),
        lam=st.floats(0.01, 10.0), V=st.floats(-1.0, 2.0),
@@ -56,6 +87,7 @@ def test_invariants_hold_at_random_points(method, regime, lam, V, Gamma_L, U):
     assert L.trace_defect() <= 1e-13 * scale
     assert _hermiticity_defect(L, dense) <= 1e-13 * scale
     assert cumulants(L, ss).c2 >= 0.0
+    assert _parity_holds(L, ss, sector_labels(p, 1 if method == "wcme" else M))
     left, right = mean_current(L, ss, "left"), mean_current(L, ss, "right")
     d = L.space.dim
     assert abs(left - right) <= max(1e-10 * max(abs(left), abs(right)),

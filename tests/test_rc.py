@@ -20,7 +20,7 @@ from nanojunction.rc import (
     ladder_op,
     residual_density,
 )
-from nanojunction.superop import ConvergenceFailure, assemble, steady_state
+from nanojunction.superop import _CHUNK_BYTES, ConvergenceFailure, assemble, steady_state
 from nanojunction.fcs import mean_current
 from nanojunction.thermo import converge_current
 from nanojunction.wcme import assemble_wcme
@@ -105,8 +105,8 @@ def test_finite_U_reaches_the_reaction_coordinate_methods(build):
     """A finite U admits |D> into H', so the space and the current both move."""
     p = regime_params(2, U=0.8)
     L, L_inf = build(p, 6), build(replace(p, U=math.inf), 6)
-    assert (L.space.dim, L.space.n) == (24, 6 * 6**2)
-    assert (L_inf.space.dim, L_inf.space.n) == (18, 5 * 6**2)
+    assert (L.space.dim, L.space.n) == (24, 3 * 6**2)
+    assert (L_inf.space.dim, L_inf.space.n) == (18, 90)
     c1, c1_inf = (mean_current(x, steady_state(x)) for x in (L, L_inf))
     assert abs(c1 - c1_inf) > 1e-2 * abs(c1_inf)
 
@@ -267,17 +267,32 @@ def test_memory_guard_blocks_oversized_space(monkeypatch):
         assemble_rcme(ModelParams(), 10)
 
 
+@pytest.mark.parametrize("U, M, n, n_next", [(math.inf, 60, 9000, 9303),
+                                              (1e3, 54, 8748, 9076)])
+def test_memory_guard_stops_the_ladder_after_the_largest_admitted_cutoff(
+        monkeypatch, U, M, n, n_next):
+    """The guard admits n = 2.5 M^2 up to M = 60 (3 M^2 up to M = 54 at finite U)."""
+    p = regime_params(1, U=U)
+    assert build_augmented_hamiltonian(p, M).space.n == n <= rc_mod.MAX_RESTRICTED_DIM
+    built = []
+    monkeypatch.setattr(rc_mod, "build_rate_operators", lambda *args: built.append(args))
+    with pytest.raises(ConvergenceFailure, match=f"restricted dimension {n_next} exceeds"):
+        assemble_rcme(p, M + 1)
+    assert built == []
+
+
 @pytest.mark.parametrize("M", [14, 22])
 def test_build_and_factorization_hold_one_bordered_array(M):
     """Peak memory of a build plus its LU: the bordered buffer, and little else.
 
     Assembly copies each sector-pair block of the (n+1)^2 bordered buffer
-    through a chunk of at most 256 KB, adds every term into it (sandwich
-    products in one temporary of the same size) and writes it back, and
-    the LU overwrites the buffer.  The chunk, the temporary and one sector
-    pair's m x m term blocks are small next to the buffer and fit inside the
-    bound's 25 % and m^3 allowances; a block-sized temporary, a separate
-    generator matrix or a copy made for the factorization would not.
+    through a chunk of at most ``_CHUNK_BYTES``, adds every term into it
+    (sandwich products in one temporary of the same size) and writes it
+    back, and the LU overwrites the buffer.  Besides the buffer, the bound
+    allows exactly what that holds: the terms' own factors, the chunk and
+    its temporary, and one sector pair's m x m blocks of every term (at most
+    two per term).  A block-sized temporary, a separate generator matrix or
+    a copy made for the factorization would not fit.
     """
     tracemalloc.start()
     try:
@@ -286,5 +301,7 @@ def test_build_and_factorization_hold_one_bordered_array(M):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    slab = max(len(s) for s in L.space.sectors) ** 3
-    assert peak <= 1.25 * 16 * ((L.space.n + 1) ** 2 + slab)
+    m = max(len(s) for s in L.space.sectors)
+    terms = sum(f.nbytes for t in L.terms for f in (t.left, t.right) if f is not None)
+    pair_blocks = 2 * len(L.terms) * 16 * m * m
+    assert peak <= 16 * (L.space.n + 1) ** 2 + terms + 2 * _CHUNK_BYTES + pair_blocks

@@ -197,6 +197,6 @@ def test_generator_preserves_hermiticity():
 
 def test_projected_basis_supported():
     L = assemble_wcme(regime_params(2, U=math.inf))
-    assert L.space.dim == 3 and L.space.n == 5
+    assert L.space.dim == 3 and L.space.n == 3
     ss = steady_state(L)
     assert np.trace(ss.rho).real == pytest.approx(1.0, abs=1e-12)
