@@ -37,6 +37,7 @@ from .model import (
     build_phonon_coupling_op,
     build_system_hamiltonian,
     sector_labels,
+    states,
 )
 from .superop import ConvergenceFailure, Liouvillian, Space, TaggedTerm, coherent_terms
 from .wcme import (
@@ -51,9 +52,11 @@ from .wcme import (
 METHODS = ("wcme", "rcme", "arcme")
 
 # Largest restricted superoperator dimension the dense solve path may
-# allocate.  The peak is the (n+1)^2 bordered buffer, which the LU overwrites,
-# plus assembly's working set of a few MB: ~16 (n+1)^2 bytes, ~1.30 GB at
-# n = 9000, which is M = 60 (an M = 60 report peaked at 1336 MB RSS).
+# allocate, checked from the sector sizes before H' is built.  The peak is
+# the (n+1)^2 bordered buffer, which the LU overwrites, plus assembly's
+# working set of a few MB (one sector pair's stacked term blocks and one
+# contraction slab): ~16 (n+1)^2 bytes, ~1.30 GB at n = 9000, which is
+# M = 60 (an M = 60 report peaked at 1336 MB RSS).
 MAX_RESTRICTED_DIM = 9000
 
 
@@ -119,36 +122,37 @@ def build_augmented_hamiltonian(p: ModelParams, M: int) -> AugmentedSystem:
 
 
 def build_rate_operators(aug: AugmentedSystem, p: ModelParams):
-    """Lifted lead operators (A_left, A_right) and the residual-bath terms.
-
-    A_left / A_right remove an electron into the left / right lead; the
-    residual bath couples to the RC displacement a + a^dag.
-    """
-    A1, A3 = build_lead_coupling_ops(p)
+    """Residual-bath terms: the residual bath couples to the RC displacement a + a^dag."""
     a = ladder_op(aug.M)
-    B = aug.rotate(np.kron(np.eye(len(A1), dtype=complex), a + a.conj().T))
+    B = aug.rotate(np.kron(np.eye(len(states(p)), dtype=complex), a + a.conj().T))
     chi, phi = bose_half(B, aug.evals, partial(residual_density, p),
                          p.gamma / (2.0 * np.pi * p.omega0), p.beta_ph)
-    return aug.lift(A1), aug.lift(A3), bosonic_dissipator_terms(B, chi, phi)
+    return bosonic_dissipator_terms(B, chi, phi)
 
 
 def _augmented_parts(p: ModelParams, M: int):
-    """What both RC generators share: guarded H', rate operators, diag(evals)."""
-    aug = build_augmented_hamiltonian(p, M)
-    if aug.space.n > MAX_RESTRICTED_DIM:
+    """What both RC generators share: guarded H', residual-bath terms, diag(evals)."""
+    _, sizes = np.unique(sector_labels(p, M), return_counts=True)
+    n = int(np.sum(sizes ** 2))
+    if n > MAX_RESTRICTED_DIM:
         raise ConvergenceFailure(
-            f"restricted dimension {aug.space.n} exceeds the dense-solver guard "
+            f"restricted dimension {n} exceeds the dense-solver guard "
             f"({MAX_RESTRICTED_DIM}); lower the Fock truncation M={M}")
-    return aug, *build_rate_operators(aug, p), np.diag(aug.evals).astype(complex)
+    aug = build_augmented_hamiltonian(p, M)
+    return aug, build_rate_operators(aug, p), np.diag(aug.evals).astype(complex)
 
 
 def assemble_rcme(p: ModelParams, M: int) -> Liouvillian:
-    """Non-additive generator: leads filtered at augmented frequencies."""
-    aug, A_left, A_right, residual_bath, Hd = _augmented_parts(p, M)
+    """Non-additive generator: leads filtered at augmented frequencies.
+
+    A1 / A3 remove an electron into the left / right lead.
+    """
+    aug, residual_bath, Hd = _augmented_parts(p, M)
+    A1, A3 = build_lead_coupling_ops(p)
     terms = coherent_terms(Hd)
-    terms += build_wcme_lead_dissipator(A_left, aug.evals, p.Gamma_L,
+    terms += build_wcme_lead_dissipator(aug.lift(A1), aug.evals, p.Gamma_L,
                                         p.beta_L, p.mu_L, "left")
-    terms += build_wcme_lead_dissipator(A_right, aug.evals, p.Gamma_R,
+    terms += build_wcme_lead_dissipator(aug.lift(A3), aug.evals, p.Gamma_R,
                                         p.beta_R, p.mu_R, "right")
     terms += residual_bath
     return Liouvillian(space=aug.space, terms=terms, method="rcme", energy_op=Hd)
@@ -161,7 +165,7 @@ def assemble_arcme(p: ModelParams, M: int) -> Liouvillian:
     Hamiltonian and then lifted, so the phonon mode cannot renormalize them.
     Energy bookkeeping stays with the bare electronic energies.
     """
-    aug, _, _, residual_bath, Hd = _augmented_parts(p, M)
+    aug, residual_bath, Hd = _augmented_parts(p, M)
     Hel = build_system_hamiltonian(p)
     evals_el = np.diag(Hel).real
     A1, A3 = build_lead_coupling_ops(p)

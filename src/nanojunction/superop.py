@@ -11,9 +11,10 @@ Superoperator terms are stored in factorized form, coef * (A . B), i.e.
 rho -> coef * A @ rho @ B, the generator's only stored form: a
 ``Liouvillian`` sums them blockwise, via vec(A rho B) = (B^T kron A) vec(rho),
 straight into its bordered LU buffer; its certificates apply them matrix-free.
-Each m^2 x m^2 sector block is assembled one cache-sized chunk at a time,
-every term added to the chunk in order before it is written back, so assembly
-holds that chunk, a product temporary and one sector pair's m x m term blocks.
+Each m^2 x m^2 sector-pair block gets one contraction over the stacked
+m x m factor blocks of the terms whose factors reach that pair (identity
+factors reach only the diagonal pairs), added in place a few l-slabs at a
+time, so assembly holds one pair's stacked blocks and a slab temporary.
 
 Importing this module sets NumPy's bundled OpenBLAS to one thread when SciPy
 links its own, so that NumPy's idle workers do not spin on the LU's cores.
@@ -21,7 +22,6 @@ links its own, so that NumPy's idle workers do not spin on the LU's cores.
 from __future__ import annotations
 
 import ctypes
-import itertools
 import warnings
 from dataclasses import dataclass, field
 
@@ -54,7 +54,7 @@ def _pin_numpy_blas(numpy_ext: str, scipy_ext: str) -> None:
 
 _pin_numpy_blas(np.linalg._umath_linalg.__file__, sla._flapack.__file__)
 
-_CHUNK_BYTES = 1 << 18   # ``assemble``'s working chunk, kept in cache with its temporary
+_CHUNK_BYTES = 1 << 18   # bound on ``assemble``'s contraction temporary (or one l-slab)
 
 
 class NonUniqueSteadyState(Exception):
@@ -79,7 +79,8 @@ class Space:
     def __init__(self, numbers):
         numbers = np.asarray(numbers)
         d = self.dim = len(numbers)
-        self.sectors = [np.flatnonzero(numbers == v) for v in np.unique(numbers)]
+        labels, self.sector_id = np.unique(numbers, return_inverse=True)   # per index
+        self.sectors = [np.flatnonzero(self.sector_id == s) for s in range(len(labels))]
         self.offsets = np.cumsum([0] + [len(s) ** 2 for s in self.sectors])[:-1]
         # row-major position in rho of every kept entry, each block column-stacked
         self.index = np.concatenate([(s[:, None] + d * s).ravel() for s in self.sectors])
@@ -129,56 +130,41 @@ def assemble(space: Space, terms, out: np.ndarray | None = None) -> np.ndarray:
 
     Returns a fresh Fortran-ordered n x n array, or adds the sum into the
     leading n x n block of ``out`` (Fortran-ordered, so that its transpose
-    is written row by row).  Each sector-pair block is copied out one chunk
-    at a time (whole l-slabs, or one slab split along k), which gets every
-    term in order before it is written back: the bits of the full kron blocks.
+    is written row by row).  Each sector-pair block gets one contraction
+    over the stacked factor blocks of the terms that reach it, a few
+    l-slabs at a time; entries are summed in the BLAS kernel's order.
     """
     if out is None:
         out = np.zeros((space.n, space.n), dtype=complex, order="F")
-    # a block of L is coef * kron(B^T, A); its transpose kron(B, A^T), viewed
-    # as blk[l, k, j, i] = B[l, j] A^T[k, i], is added into the C-ordered out.T
-    LT = out.T
+    nsec = len(space.sectors)
+
+    def reach(X):   # reach[a, c]: X[sa, sc] has a non-zero; the identity's is a == c
+        if X is None:
+            return np.eye(nsec, dtype=bool)
+        r = np.zeros((nsec, nsec), dtype=bool)
+        rows, cols = np.nonzero(X)
+        r[space.sector_id[rows], space.sector_id[cols]] = True
+        return r
+
+    reaches = [(reach(t.left), reach(t.right).T) for t in terms]
     eye = np.eye(space.dim, dtype=complex)
-    work = np.empty((2, max(_CHUNK_BYTES // 16, max(map(len, space.sectors)) ** 2)), complex)
-    for sa, offa in zip(space.sectors, space.offsets):
-        for sc, offc in zip(space.sectors, space.offsets):
-            ma, mc, ac, ca = len(sa), len(sc), np.ix_(sa, sc), np.ix_(sc, sa)
-            parts = []
-            for t in terms:
-                if t.left is not None and t.right is not None:
-                    Ablk, Bblk = t.left[ac], t.right[ca]
-                    if Ablk.any() and Bblk.any():
-                        parts.append(("sandwich", Bblk, Ablk.T, t.coef))
-                elif offa == offc:   # an identity factor leaves only sa == sc
-                    kind = "lj" if t.right is None else "ki"
-                    X = (eye if t.left is None else t.left)[ac].T if kind == "lj" else t.right[ca]
-                    if X.any():
-                        parts.append((kind, X * t.coef, None, None))
-            if not parts:
+    # a block of L is coef * kron(B^T, A); its transpose kron(B, A^T), viewed
+    # as blk[l, k, j, i] = sum_t coef_t B_t[l, j] A_t[i, k], is added into
+    # the C-ordered out.T
+    LT = out.T
+    for a, (sa, offa) in enumerate(zip(space.sectors, space.offsets)):
+        for c, (sc, offc) in enumerate(zip(space.sectors, space.offsets)):
+            hit = [t for t, (lr, rr) in zip(terms, reaches) if lr[a, c] and rr[a, c]]
+            if not hit:
                 continue
+            ma, mc, ac, ca = len(sa), len(sc), np.ix_(sa, sc), np.ix_(sc, sa)
+            As = np.stack([(eye if t.left is None else t.left)[ac] for t in hit])
+            Bs = np.stack([t.coef * (eye if t.right is None else t.right)[ca] for t in hit])
             blk = LT[offc : offc + mc * mc, offa : offa + ma * ma].reshape(mc, mc, ma, ma)
-            nl = max(1, _CHUNK_BYTES // (16 * ma * ma * mc))   # whole l-slabs per chunk,
-            nk = min(mc, max(1, _CHUNK_BYTES // (16 * ma * ma)))   # or k-rows of one slab
-            w, tmp = work[:, : min(nl, mc) * nk * ma * ma].reshape(2, -1, nk, ma, ma)
-            s0, s1, s2, s3 = w.strides
-            for l0, k0 in itertools.product(range(0, mc, nl), range(0, mc, nk)):
-                L, K = slice(l0, l0 + nl), slice(k0, k0 + nk)
-                wc, tc = w[: mc - l0, : mc - k0], tmp[: mc - l0, : mc - k0]
-                wc[...] = blk[L, K]
-                if offa == offc:   # diagonals wc[p, k, l0 + p, i] and wc[p, k, j, k0 + k]
-                    on_lj = np.ndarray(wc.shape[:3], complex, w, l0 * s2, (s0 + s2, s1, s3))
-                    on_ki = np.ndarray(wc.shape[:3], complex, w, k0 * s3, (s0, s1 + s3, s2))
-                for kind, X, Y, c in parts:
-                    if kind == "lj":
-                        on_lj += X[K]
-                    elif kind == "ki":
-                        on_ki += X[L, None]
-                    else:
-                        np.multiply(X[L, None, :, None], Y[None, K, None, :], out=tc)
-                        if c != 1 and c != -1:   # skipping +-1 changes at most the
-                            tc *= c              # sign of a zero, which the sum cannot see
-                        (np.subtract if c == -1 else np.add)(wc, tc, out=wc)
-                blk[L, K] = wc
+            nl = max(1, _CHUNK_BYTES // (16 * mc * ma * ma))   # whole l-slabs per contraction
+            for l0 in range(0, mc, nl):
+                slab = np.tensordot(Bs[:, l0 : l0 + nl], As, (0, 0))   # [l, j, i, k]
+                blk[l0 : l0 + nl] += slab.transpose(0, 3, 1, 2)
     return out
 
 

@@ -276,6 +276,10 @@ def test_memory_guard_stops_the_ladder_after_the_largest_admitted_cutoff(
     assert build_augmented_hamiltonian(p, M).space.n == n <= rc_mod.MAX_RESTRICTED_DIM
     built = []
     monkeypatch.setattr(rc_mod, "build_rate_operators", lambda *args: built.append(args))
+    # the guard counts the sectors before H' is built (or diagonalized)
+    hamiltonian = rc_mod.build_system_hamiltonian
+    monkeypatch.setattr(rc_mod, "build_system_hamiltonian",
+                        lambda *args: built.append(args) or hamiltonian(*args))
     with pytest.raises(ConvergenceFailure, match=f"restricted dimension {n_next} exceeds"):
         assemble_rcme(p, M + 1)
     assert built == []
@@ -285,14 +289,16 @@ def test_memory_guard_stops_the_ladder_after_the_largest_admitted_cutoff(
 def test_build_and_factorization_hold_one_bordered_array(M):
     """Peak memory of a build plus its LU: the bordered buffer, and little else.
 
-    Assembly copies each sector-pair block of the (n+1)^2 bordered buffer
-    through a chunk of at most ``_CHUNK_BYTES``, adds every term into it
-    (sandwich products in one temporary of the same size) and writes it
-    back, and the LU overwrites the buffer.  Besides the buffer, the bound
-    allows exactly what that holds: the terms' own factors, the chunk and
-    its temporary, and one sector pair's m x m blocks of every term (at most
-    two per term).  A block-sized temporary, a separate generator matrix or
-    a copy made for the factorization would not fit.
+    Assembly adds into each sector-pair block of the (n+1)^2 bordered buffer
+    in place, one contraction over the stacked m x m factor blocks of the
+    terms that reach the pair, a few l-slabs at a time, and the LU
+    overwrites the buffer.  Besides the buffer, the bound allows exactly
+    what that holds: the terms' own factors, one sector pair's stacked
+    blocks (at most two per term), the slabs' product temporary (at most
+    ``_CHUNK_BYTES`` at these cutoffs) and as much again for the operand
+    copy and the buffers of the strided add.  A block-sized temporary, a
+    separate generator matrix or a copy made for the factorization would
+    not fit.
     """
     tracemalloc.start()
     try:

@@ -105,43 +105,48 @@ def test_term_block_matches_sandwich():
         assert np.allclose(sp.devec(assemble(sp, [t]) @ sp.vec(rho)), t.apply(rho))
 
 
-def _bits(a):
-    """The raw bits of every entry: unlike ==, they tell -0.0 from +0.0."""
-    return np.ascontiguousarray(a).view(np.uint64)
-
-
-def test_assembly_is_bit_identical_to_full_kron_blocks(monkeypatch):
-    """Chunked, term-ordered assembly skips only exact zeros (the off-diagonal
-    entries of one-sided terms, multiplications by +-1), so every entry must
-    carry the dense blocks' bits, on sectors not contiguous in the basis."""
+def test_assembly_matches_full_kron_blocks(monkeypatch):
+    """Stacked per-pair contractions, on sectors not contiguous in the basis,
+    give the dense per-term kron blocks up to the order of summation: terms
+    that do not reach a sector pair (block-sparse or zero factors) are
+    skipped, and one-sided terms reach only the diagonal pairs."""
     rng = np.random.default_rng(9)
     sp = Space([0, 1, 1, 2, 1, 0])
+    lower = np.zeros((6, 6), dtype=complex)   # lowers the charge by one
+    lower[0, 1] = 1.3
+    lower[5, 2] = -0.4
+    lower[1, 3] = 0.9j
+    lower[4, 3] = 0.2
+    lower[0, 4] = 0.7
     terms = [TaggedTerm(0.3 - 0.1j),
              TaggedTerm(-0.7j, left=_random_matrix(rng, 6)),
              TaggedTerm(1.1, right=_random_matrix(rng, 6)),
              TaggedTerm(0.4 + 0.9j, left=_random_matrix(rng, 6), right=_random_matrix(rng, 6)),
              TaggedTerm(-2.0, left=_random_matrix(rng, 6)),
+             TaggedTerm(1.0, left=lower, right=lower.conj().T),
              TaggedTerm(1.0, left=_random_matrix(rng, 6), right=_random_matrix(rng, 6)),
              TaggedTerm(0.5j, right=_random_matrix(rng, 6)),
+             TaggedTerm(0.8, left=np.zeros((6, 6), dtype=complex),
+                        right=_random_matrix(rng, 6)),
              TaggedTerm(-1.0, left=_random_matrix(rng, 6), right=_random_matrix(rng, 6)),
              TaggedTerm(-0.35, left=_random_matrix(rng, 6), right=_random_matrix(rng, 6))]
-    ref = _bits(_kron_reference(sp, terms))
+    ref = _kron_reference(sp, terms)
     L = assemble_rcme(regime_params(1, lam=1000.0), 6)
-    L_ref = _bits(_kron_reference(L.space, L.terms))
-    # Besides the default, tiny chunks: one (l, k) row each, several whole
-    # slabs with a partial last chunk, and slabs split along k.  A chunk of
-    # one lone product would call NumPy's complex multiply with another loop
-    # (one that rounds without a fused multiply-add) than the dense blocks
-    # do; 48 bytes is the smallest chunk that keeps every product loop of
-    # this space as long as theirs.
+    L_ref = _kron_reference(L.space, L.terms)
+
+    def close(a, b):
+        return np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b))
+
+    # besides the default, tiny chunks: one l-slab each, and several whole
+    # slabs with a partial last one
     for chunk_bytes in (superop._CHUNK_BYTES, 48, 96, 288):
         monkeypatch.setattr(superop, "_CHUNK_BYTES", chunk_bytes)
-        assert np.array_equal(_bits(assemble(sp, terms)), ref)
-        # adding the rest into a partial sum continues the same sums entry by entry
+        assert close(assemble(sp, terms), ref)
+        # the rest of the terms is added into a partial sum
         out = assemble(sp, terms[:4])
         assert assemble(sp, terms[4:], out) is out
-        assert np.array_equal(_bits(out), ref)
-        assert np.array_equal(_bits(assemble(L.space, L.terms)), L_ref)
+        assert close(out, ref)
+        assert close(assemble(L.space, L.terms), L_ref)
 
 
 def test_sector_assembly_matches_full_space():
