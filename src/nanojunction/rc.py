@@ -9,14 +9,14 @@ straight from ``ModelParams`` (lam, omega0, gamma); only the Fock cutoff M
 is added, and U decides the electronic states as everywhere (``model.states``:
 {G, L, R} at U = inf, so n = 2.5M^2, else {G, L, R, D} with n = 3M^2).  H' is
 diagonalized charge x parity sector by sector (``model.sector_labels``), and
-that one ``Space`` is also the restricted space of the generators.
-Two generators are built on the augmented space:
+that one ``Space`` (guarded before H' is built) is also the restricted space
+of the generators.  Both make the weak-coupling generator's three calls on
+the augmented space (coherent part of H', leads, residual bath) and differ
+only in which Hamiltonian's transition frequencies filter the leads:
 
-* ``assemble_rcme``: leads filtered at the transition frequencies of the full
-  augmented Hamiltonian (lead and phonon effects are non-additive);
-* ``assemble_arcme``: lead dissipators of the bare electronic problem lifted
-  onto the augmented space (strictly additive rates), with the same coherent
-  part and residual-bath dissipator as the RCME.
+* ``assemble_rcme``: the augmented one (lead and phonon effects are non-additive);
+* ``assemble_arcme``: the bare electronic one, whose filtered factors are then
+  lifted onto the augmented space (strictly additive rates).
 
 ``build_generator`` is the one registry of methods (``METHODS``): it builds
 the weak-coupling generator or either of these by name.  Mode-space
@@ -39,13 +39,8 @@ from .model import (
     sector_labels,
     states,
 )
-from .superop import ConvergenceFailure, Liouvillian, Space, TaggedTerm, coherent_terms
-from .wcme import (
-    assemble_wcme,
-    bose_half,
-    bosonic_dissipator_terms,
-    build_wcme_lead_dissipator,
-)
+from .superop import ConvergenceFailure, Liouvillian, Space, coherent_terms
+from .wcme import assemble_wcme, bosonic_dissipator_terms, lead_terms
 
 # The registered master equations.  Every method but "wcme" puts the
 # reaction coordinate into the system and needs a Fock cutoff M.
@@ -98,9 +93,17 @@ class AugmentedSystem:
 
 
 def build_augmented_hamiltonian(p: ModelParams, M: int) -> AugmentedSystem:
-    """H' = H_el + lam s^2 + kappa s (a + a^dag) + Omega a^dag a, diagonalized."""
+    """H' = H_el + lam s^2 + kappa s (a + a^dag) + Omega a^dag a, diagonalized.
+
+    A restricted space over ``MAX_RESTRICTED_DIM`` raises before H' is built.
+    """
     if M < 1:
         raise ValueError(f"Fock truncation M must be at least 1, got {M}")
+    space = Space(sector_labels(p, M))
+    if space.n > MAX_RESTRICTED_DIM:
+        raise ConvergenceFailure(
+            f"restricted dimension {space.n} exceeds the dense-solver guard "
+            f"({MAX_RESTRICTED_DIM}); lower the Fock truncation M={M}")
     Hel = build_system_hamiltonian(p)
     s = build_phonon_coupling_op(p)
     a = ladder_op(M)
@@ -109,7 +112,6 @@ def build_augmented_hamiltonian(p: ModelParams, M: int) -> AugmentedSystem:
     Hp = (np.kron(Hel + p.lam * (s @ s), eye_f)
           + np.sqrt(p.lam * p.omega0) * np.kron(s, x)
           + p.omega0 * np.kron(np.eye(len(Hel), dtype=complex), a.conj().T @ a))
-    space = Space(sector_labels(p, M))
     evals = np.empty(Hp.shape[0])
     W = np.zeros_like(Hp)
     for idx in space.sectors:
@@ -125,59 +127,33 @@ def build_rate_operators(aug: AugmentedSystem, p: ModelParams):
     """Residual-bath terms: the residual bath couples to the RC displacement a + a^dag."""
     a = ladder_op(aug.M)
     B = aug.rotate(np.kron(np.eye(len(states(p)), dtype=complex), a + a.conj().T))
-    chi, phi = bose_half(B, aug.evals, partial(residual_density, p),
-                         p.gamma / (2.0 * np.pi * p.omega0), p.beta_ph)
-    return bosonic_dissipator_terms(B, chi, phi)
-
-
-def _augmented_parts(p: ModelParams, M: int):
-    """What both RC generators share: guarded H', residual-bath terms, diag(evals)."""
-    _, sizes = np.unique(sector_labels(p, M), return_counts=True)
-    n = int(np.sum(sizes ** 2))
-    if n > MAX_RESTRICTED_DIM:
-        raise ConvergenceFailure(
-            f"restricted dimension {n} exceeds the dense-solver guard "
-            f"({MAX_RESTRICTED_DIM}); lower the Fock truncation M={M}")
-    aug = build_augmented_hamiltonian(p, M)
-    return aug, build_rate_operators(aug, p), np.diag(aug.evals).astype(complex)
+    return bosonic_dissipator_terms(B, aug.evals, partial(residual_density, p),
+                                    p.gamma / (2.0 * np.pi * p.omega0), p.beta_ph)
 
 
 def assemble_rcme(p: ModelParams, M: int) -> Liouvillian:
-    """Non-additive generator: leads filtered at augmented frequencies.
-
-    A1 / A3 remove an electron into the left / right lead.
-    """
-    aug, residual_bath, Hd = _augmented_parts(p, M)
+    """Non-additive generator: leads filtered at augmented frequencies."""
+    aug = build_augmented_hamiltonian(p, M)
+    Hd = np.diag(aug.evals).astype(complex)
     A1, A3 = build_lead_coupling_ops(p)
-    terms = coherent_terms(Hd)
-    terms += build_wcme_lead_dissipator(aug.lift(A1), aug.evals, p.Gamma_L,
-                                        p.beta_L, p.mu_L, "left")
-    terms += build_wcme_lead_dissipator(aug.lift(A3), aug.evals, p.Gamma_R,
-                                        p.beta_R, p.mu_R, "right")
-    terms += residual_bath
+    terms = (coherent_terms(Hd) + lead_terms(p, aug.evals, aug.lift(A1), aug.lift(A3))
+             + build_rate_operators(aug, p))
     return Liouvillian(space=aug.space, terms=terms, method="rcme", energy_op=Hd)
 
 
 def assemble_arcme(p: ModelParams, M: int) -> Liouvillian:
-    """Additive generator: bare-electronic lead dissipators on the augmented space.
+    """Additive generator: lead factors filtered at the bare energies, then lifted.
 
-    Lead terms are built at the transition frequencies of the bare electronic
-    Hamiltonian and then lifted, so the phonon mode cannot renormalize them.
-    Energy bookkeeping stays with the bare electronic energies.
+    Every lead factor is filtered at the bare electronic transition
+    frequencies and lifted before the products are formed, so the phonon
+    mode cannot renormalize the rates.  Energy bookkeeping stays with the
+    bare electronic energies.
     """
-    aug, residual_bath, Hd = _augmented_parts(p, M)
+    aug = build_augmented_hamiltonian(p, M)
     Hel = build_system_hamiltonian(p)
-    evals_el = np.diag(Hel).real
-    A1, A3 = build_lead_coupling_ops(p)
-    bare = build_wcme_lead_dissipator(A1, evals_el, p.Gamma_L, p.beta_L, p.mu_L, "left")
-    bare += build_wcme_lead_dissipator(A3, evals_el, p.Gamma_R, p.beta_R, p.mu_R, "right")
-    terms = [TaggedTerm(t.coef,
-                        left=None if t.left is None else aug.lift(t.left),
-                        right=None if t.right is None else aug.lift(t.right),
-                        bath=t.bath, jump=t.jump)
-             for t in bare]
-    terms += coherent_terms(Hd)
-    terms += residual_bath
+    terms = (lead_terms(p, np.diag(Hel).real, *build_lead_coupling_ops(p), lift=aug.lift)
+             + coherent_terms(np.diag(aug.evals).astype(complex))
+             + build_rate_operators(aug, p))
     return Liouvillian(space=aug.space, terms=terms, method="arcme", energy_op=aug.lift(Hel))
 
 

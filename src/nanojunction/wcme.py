@@ -12,9 +12,10 @@ dropped throughout.
 
 Each filter returns a pair (chi, phi): the bare operator with its matrix
 elements scaled by the occupied-bath weight (quanta available to absorb) and
-by the complementary weight.  ``rc`` applies the same filters and dissipators
-on the augmented space of the reaction coordinate (Omega = omega0,
-kappa = sqrt(lam * omega0)), with the residual Ohmic bath in place of J.
+by the complementary weight.  A generator is ``coherent_terms`` +
+``lead_terms`` + ``bosonic_dissipator_terms``; ``rc`` makes the same three
+calls on the augmented space of the reaction coordinate, with the residual
+Ohmic bath in place of J (ARCME lifts its bare-filtered lead factors).
 
 Every term carries the bath it came from, and the lead sandwich terms also
 carry the signed number of electrons they move into that lead, so the same
@@ -65,18 +66,23 @@ def bose_half(A: np.ndarray, evals: np.ndarray, J, slope0: float, beta: float):
 
 
 def build_wcme_lead_dissipator(A_rem: np.ndarray, evals: np.ndarray, Gamma: float,
-                               beta: float, mu: float, side: str) -> list:
+                               beta: float, mu: float, side: str, lift=None) -> list:
     """Factorized Redfield dissipator of one wideband lead.
 
     ``A_rem`` removes an electron from the system into the lead; every term
     is on bath ``side``, and the sandwiches that move one electron into/out
-    of the lead carry ``jump`` +1 / -1.
+    of the lead carry ``jump`` +1 / -1.  ``lift`` maps every factor onto
+    another space before the products are formed, so trace preservation
+    survives a ``lift`` that is not multiplicative.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     A_add = A_rem.conj().T
     rem_chi, rem_phi = fermi_half(A_rem, evals, beta, mu, remove=True)
     add_chi, add_phi = fermi_half(A_add, evals, beta, mu, remove=False)
+    if lift is not None:
+        A_rem, A_add, rem_chi, rem_phi, add_chi, add_phi = map(
+            lift, (A_rem, A_add, rem_chi, rem_phi, add_chi, add_phi))
     g = 0.5 * Gamma
     return [
         TaggedTerm(-g, left=A_rem @ add_chi, bath=side),
@@ -90,8 +96,15 @@ def build_wcme_lead_dissipator(A_rem: np.ndarray, evals: np.ndarray, Gamma: floa
     ]
 
 
-def bosonic_dissipator_terms(s: np.ndarray, chi: np.ndarray, phi: np.ndarray) -> list:
-    """Factorized bosonic dissipator -[s, [chi, rho]] + [s, {phi, rho}]."""
+def lead_terms(p: ModelParams, evals, A1, A3, lift=None) -> list:
+    """Both leads' dissipators; A1 / A3 remove an electron into the left / right lead."""
+    return (build_wcme_lead_dissipator(A1, evals, p.Gamma_L, p.beta_L, p.mu_L, "left", lift)
+            + build_wcme_lead_dissipator(A3, evals, p.Gamma_R, p.beta_R, p.mu_R, "right", lift))
+
+
+def bosonic_dissipator_terms(s, evals, J, slope0: float, beta: float) -> list:
+    """-[s, [chi, rho]] + [s, {phi, rho}], factorized; (chi, phi) from ``bose_half``."""
+    chi, phi = bose_half(s, evals, J, slope0, beta)
     return [
         TaggedTerm(-1.0, left=s @ chi, bath="phonon"),
         TaggedTerm(1.0, left=s, right=chi, bath="phonon"),
@@ -115,13 +128,9 @@ def assemble_wcme(p: ModelParams) -> Liouvillian:
         raise ValueError("inter-site transition is degenerate (Delta = 0)")
     H = build_system_hamiltonian(p)
     evals = np.diag(H).real
-    A1, A3 = build_lead_coupling_ops(p)
-    s = build_phonon_coupling_op(p)
-    terms = coherent_terms(H)
-    terms += build_wcme_lead_dissipator(A1, evals, p.Gamma_L, p.beta_L, p.mu_L, "left")
-    terms += build_wcme_lead_dissipator(A3, evals, p.Gamma_R, p.beta_R, p.mu_R, "right")
-    chi, phi = bose_half(s, evals, partial(drude_lorentz, p),
-                         2.0 / np.pi * p.lam * p.gamma / p.omega0**2, p.beta_ph)
-    terms += bosonic_dissipator_terms(s, chi, phi)
-    space = Space(sector_labels(p, 1))
-    return Liouvillian(space=space, terms=terms, method="wcme", energy_op=H)
+    slope0 = 2.0 / np.pi * p.lam * p.gamma / p.omega0**2
+    terms = (coherent_terms(H) + lead_terms(p, evals, *build_lead_coupling_ops(p))
+             + bosonic_dissipator_terms(build_phonon_coupling_op(p), evals,
+                                        partial(drude_lorentz, p), slope0, p.beta_ph))
+    return Liouvillian(space=Space(sector_labels(p, 1)), terms=terms, method="wcme",
+                       energy_op=H)

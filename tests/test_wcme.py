@@ -17,13 +17,15 @@ import pytest
 from nanojunction.model import (
     ModelParams,
     bose,
+    build_lead_coupling_ops,
+    build_system_hamiltonian,
     drude_lorentz,
     fermi,
     regime_params,
     states,
 )
 from nanojunction.superop import apply_terms, assemble, steady_state
-from nanojunction.wcme import assemble_wcme
+from nanojunction.wcme import assemble_wcme, build_wcme_lead_dissipator
 
 
 def _classical_rates(p):
@@ -200,3 +202,29 @@ def test_projected_basis_supported():
     assert L.space.dim == 3 and L.space.n == 3
     ss = steady_state(L)
     assert np.trace(ss.rho).real == pytest.approx(1.0, abs=1e-12)
+
+
+def test_lead_dissipator_stays_trace_preserving_under_a_compressing_lift():
+    """Factors are lifted before the products are formed.
+
+    The terms preserve the trace when sum coef * right @ left = 0.  With a
+    lift V^dag (X kron 1_M) V through an isometry V onto k < 3M columns,
+    lift(X Y) != lift(X) lift(Y), so terms that lift bare products leave
+    that sum ~ 1e-2.
+    """
+    p = regime_params(1, U=math.inf)
+    M, k = 8, 15
+    rng = np.random.default_rng(3)
+    V, _ = np.linalg.qr(rng.normal(size=(3 * M, k)) + 1j * rng.normal(size=(3 * M, k)))
+
+    def lift(X):
+        return V.conj().T @ np.kron(X, np.eye(M)) @ V
+
+    A1, _ = build_lead_coupling_ops(p)
+    terms = build_wcme_lead_dissipator(A1, np.diag(build_system_hamiltonian(p)).real,
+                                       p.Gamma_L, p.beta_L, p.mu_L, "left", lift)
+    eye = np.eye(k)
+    total = sum(t.coef * (eye if t.right is None else t.right)
+                @ (eye if t.left is None else t.left) for t in terms)
+    assert len(terms) == 8 and total.shape == (k, k)
+    assert np.max(np.abs(total)) <= 1e-15
