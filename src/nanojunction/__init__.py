@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 
 from .fcs import Cumulants, cumulants, mean_current, zero_frequency_noise
 from .model import ModelParams
-from .model import bose, drude_lorentz, fermi, regime_params
+from .model import drude_lorentz, fermi, regime_params
 from .rc import AugmentedSystem, LadderCertificate
 from .rc import assemble_arcme, assemble_rcme, build_augmented_hamiltonian
 from .rc import build_generator, converge_in_levels
@@ -36,7 +36,7 @@ __all__ = [
     "LadderCertificate", "Liouvillian", "ModelParams",
     "NonUniqueSteadyState", "Space", "SteadyState", "TaggedTerm",
     "TransportReport", "assemble_arcme", "assemble_rcme", "assemble_wcme",
-    "bose", "build_augmented_hamiltonian", "build_generator",
+    "build_augmented_hamiltonian", "build_generator",
     "carnot_efficiency", "converge_current", "converge_in_levels", "cumulants",
     "drude_lorentz", "energy_currents", "fermi", "mean_current", "regime_params",
     "restricted_pseudo_inverse_apply", "steady_state", "stopping_voltage",

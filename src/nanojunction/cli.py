@@ -38,8 +38,8 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .model import ModelParams, regime_params
-from .rc import METHODS
+from .model import REGIMES, ModelParams, regime_params
+from .rc import METHODS, check_ladder
 from .thermo import TransportReport, converge_current, transport_report
 
 COLUMNS = ("method", "regime", "lambda", "V", "beta_L", "beta_R", "beta_ph", "M",
@@ -93,10 +93,9 @@ class SweepSpec:
             raise ValueError("wcme has no Fock truncation to sweep")
         if self.swept == "M" and self.grid().min() < 1:
             raise ValueError("Fock truncations M must be at least 1")
-        rc = self.rc
-        if min(rc.levels, rc.start, rc.step) < 1 or rc.cap < rc.start or rc.tol <= 0:
-            raise ValueError("rc levels, start and step must be at least 1, "
-                             "cap at least start and tol positive")
+        if self.rc.levels < 1:
+            raise ValueError("rc levels must be at least 1")
+        check_ladder(self.rc.start, self.rc.step, self.rc.tol, self.rc.cap)
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
         for k in self.model:
@@ -118,7 +117,7 @@ def point_params(spec: SweepSpec, x: float) -> ModelParams:
     if spec.swept == "V":
         return base.with_bias(x)
     if spec.swept == "beta_hot":
-        return replace(base, beta_L=x) if spec.regime == 1 else replace(base, beta_ph=x)
+        return replace(base, **{REGIMES[spec.regime][0]: x})
     return base  # swept == "M": the truncation changes, not the parameters
 
 
@@ -152,9 +151,8 @@ def _solve_point(task) -> tuple:
             if spec.swept == "M":
                 M = int(round(x))
             elif spec.rc.auto:
-                cert = converge_current(p, method=method, start=spec.rc.start,
-                                        step=spec.rc.step, tol=spec.rc.tol,
-                                        cap=spec.rc.cap)
+                cert = converge_current(p, method, start=spec.rc.start, step=spec.rc.step,
+                                        tol=spec.rc.tol, cap=spec.rc.cap)
                 M, converged = cert.M, cert.converged
             else:
                 M = spec.rc.levels

@@ -43,8 +43,11 @@ class ModelParams:
 
     def __post_init__(self):
         for f in fields(self):
-            if math.isnan(getattr(self, f.name)):
+            x = getattr(self, f.name)
+            if math.isnan(x):
                 raise ValueError(f"model parameter {f.name} is NaN")
+            if math.isinf(x) and f.name != "U":
+                raise ValueError(f"model parameter {f.name} must be finite, got {x}")
         if min(self.beta_L, self.beta_R, self.beta_ph) <= 0:
             raise ValueError("inverse temperatures must be positive")
         if self.Gamma_L < 0 or self.Gamma_R < 0:
@@ -70,18 +73,19 @@ class ModelParams:
         return replace(self, mu_R=self.mu_L + V)
 
 
+# The hot and cold inverse-temperature fields of each operating regime.
+REGIMES = {1: ("beta_L", "beta_R"), 2: ("beta_ph", "beta_L")}
+
+
 def regime_params(which: int, **overrides) -> ModelParams:
-    """Convenience constructor for the two operating regimes.
+    """Convenience constructor for the two operating regimes (``REGIMES``).
 
     Regime 1 ("lead resource"): hot left lead, beta_L = 0.1, beta_R = beta_ph = 1.
     Regime 2 ("phonon resource"): hot phonons, beta_L = beta_R = 1, beta_ph = 0.1.
     """
-    if which == 1:
-        base = dict(beta_L=0.1, beta_R=1.0, beta_ph=1.0)
-    elif which == 2:
-        base = dict(beta_L=1.0, beta_R=1.0, beta_ph=0.1)
-    else:
+    if which not in REGIMES:
         raise ValueError("regime must be 1 or 2")
+    base = {"beta_L": 1.0, "beta_R": 1.0, "beta_ph": 1.0, REGIMES[which][0]: 0.1}
     base.update(overrides)
     return ModelParams(**base)
 
@@ -156,16 +160,3 @@ def drude_lorentz(p: ModelParams, omega):
 def fermi(beta: float, mu: float, omega):
     """Fermi-Dirac occupation f = 1/(exp(beta*(omega-mu)) + 1), overflow-safe."""
     return expit(-beta * (np.asarray(omega, dtype=float) - mu))
-
-
-def bose(beta: float, omega):
-    """Bose-Einstein occupation n = 1/(exp(beta*omega) - 1), overflow-safe.
-
-    Negative omega returns the analytic continuation n(-w) = -(1 + n(w));
-    omega = 0 is a domain error (the occupation diverges).
-    """
-    w = np.asarray(omega, dtype=float)
-    if np.any(w == 0):
-        raise ValueError("bose occupation diverges at omega = 0")
-    return 1.0 / np.expm1(beta * w)
-

@@ -22,7 +22,8 @@ only in which Hamiltonian's transition frequencies filter the leads:
 the weak-coupling generator or either of these by name.  Mode-space
 truncation is handled by ``converge_in_levels``, which walks the Fock cutoff
 upward and certifies (or honestly refuses to certify) relative convergence
-of an observable; ``thermo.converge_current`` walks it for the mean current.
+of an observable; ``check_ladder`` is the one rule for its settings, and
+``thermo.converge_current`` walks it for the mean current.
 """
 from __future__ import annotations
 
@@ -174,9 +175,10 @@ def build_generator(p: ModelParams, method: str, M: int | None = None) -> Liouvi
 class LadderCertificate:
     """Outcome of walking the Fock truncation upward.
 
-    ``value`` and ``increment`` refer to the last evaluated level; ``history``
-    holds every (M, value) pair.  An unconverged certificate reports why the
-    walk stopped instead of pretending.
+    ``M``, ``value`` and ``increment`` are those of the reported level (the one
+    before a bounce, else the last computed; ``inf`` if it was the first);
+    ``history`` holds every computed (M, value) pair.  An unconverged
+    certificate reports why the walk stopped instead of pretending.
     """
 
     converged: bool
@@ -187,55 +189,50 @@ class LadderCertificate:
     message: str = ""
 
 
+def check_ladder(start: int, step: int, tol: float, cap: int) -> None:
+    """Reject ladder settings that cannot walk: 1 <= start <= cap, step >= 1, tol > 0."""
+    if start < 1 or step < 1 or cap < start or tol <= 0:
+        raise ValueError(f"ladder needs 1 <= start <= cap, step >= 1 and tol > 0 "
+                         f"(start={start}, step={step}, cap={cap}, tol={tol})")
+
+
 def converge_in_levels(evaluate, start: int = 10, step: int = 4,
                        tol: float = 1e-6, cap: int = 60) -> LadderCertificate:
     """Increase the truncation until an observable settles to relative tol.
 
-    ``evaluate(M)`` returns the observable at Fock cutoff M.  A level that
-    raises ``ConvergenceFailure`` before anything has converged is skipped --
-    undersized cutoffs can fail for the same reason they are inaccurate --
-    but once a level has been computed, a later failure (e.g. the memory
-    guard) ends the walk with an honest certificate.  The walk also stops
-    early (unconverged) at the first bounce, where a relative increment
-    stops decreasing; the message records where, not why.
+    ``evaluate(M)`` returns the observable at Fock cutoff M.  Each computed
+    level appends (M, value) to ``history`` and its relative increment to
+    ``incs`` (``inf`` for the first).  The verdict is read from their last
+    entries: converged at an increment <= tol; a bounce, where an increment
+    is no smaller than the one before, reported at the level before it (the
+    best estimate on offer; the message records where, not why); the cap.
+    A ``ConvergenceFailure`` before the first computed level skips that
+    level -- undersized cutoffs can fail for the same reason they are
+    inaccurate -- and is re-raised if no level is left; a later one (e.g.
+    the memory guard) ends the walk with an honest certificate.
     """
-    if start < 1 or step < 1 or cap < start or tol <= 0:
-        raise ValueError(f"ladder needs 1 <= start <= cap, step >= 1 and tol > 0 "
-                         f"(start={start}, step={step}, cap={cap}, tol={tol})")
-    history = []
-    prev_val = None
-    prev_inc = None
-    last_exc = None
-    M = start
-    while M <= cap:
+    check_ladder(start, step, tol, cap)
+    history, incs = [], []
+    for M in range(start, cap + 1, step):
         try:
             val = float(evaluate(M))
         except ConvergenceFailure as exc:
-            if not history:
-                last_exc = exc
-                M += step
-                continue
-            Mp, vp = history[-1]
-            return LadderCertificate(False, Mp, vp, prev_inc if prev_inc is not None
-                                     else np.inf, history, f"stopped at M={M}: {exc}")
+            if history:
+                return LadderCertificate(False, *history[-1], incs[-1], history,
+                                         f"stopped at M={M}: {exc}")
+            if M + step > cap:
+                raise
+            continue
+        if history:
+            prev = history[-1][1]
+            incs.append(abs(val - prev) / max(abs(val), abs(prev), 1e-300))
+        else:
+            incs.append(np.inf)
         history.append((M, val))
-        if prev_val is not None:
-            scale = max(abs(val), abs(prev_val), 1e-300)
-            inc = abs(val - prev_val) / scale
-            if inc <= tol:
-                return LadderCertificate(True, M, val, inc, history)
-            if prev_inc is not None and inc >= prev_inc:
-                # the level before the bounce is the best estimate on offer,
-                # so that is what we certify
-                Mp, vp = history[-2]
-                return LadderCertificate(False, Mp, vp, prev_inc, history,
-                                         "relative increments stopped "
-                                         f"decreasing (bounce at M={M})")
-            prev_inc = inc
-        prev_val = val
-        M += step
-    if not history:
-        raise last_exc
-    return LadderCertificate(False, history[-1][0], history[-1][1],
-                             prev_inc if prev_inc is not None else np.inf,
-                             history, f"cap M={cap} reached without convergence")
+        if incs[-1] <= tol:
+            return LadderCertificate(True, M, val, incs[-1], history)
+        if len(incs) > 2 and incs[-1] >= incs[-2]:
+            return LadderCertificate(False, *history[-2], incs[-2], history,
+                                     f"relative increments stopped decreasing (bounce at M={M})")
+    return LadderCertificate(False, *history[-1], incs[-1], history,
+                             f"cap M={cap} reached without convergence")

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fcs import cumulants, mean_current
-from .model import ModelParams
-from .rc import METHODS, LadderCertificate, build_generator, converge_in_levels
+from .model import REGIMES, ModelParams
+from .rc import LadderCertificate, build_generator, converge_in_levels
 from .superop import ConvergenceFailure, Liouvillian, SteadyState, apply_terms, steady_state
 
 
@@ -56,12 +56,11 @@ def energy_currents(L: Liouvillian, ss: SteadyState):
 
 
 def carnot_efficiency(p: ModelParams, regime: int) -> float:
-    """1 - beta_hot/beta_cold for the regime's hot resource."""
-    if regime == 1:
-        return 1.0 - p.beta_L / p.beta_R
-    if regime == 2:
-        return 1.0 - p.beta_ph / p.beta_L
-    raise ValueError("regime must be 1 or 2")
+    """1 - beta_hot/beta_cold for the regime's hot resource (``model.REGIMES``)."""
+    if regime not in REGIMES:
+        raise ValueError("regime must be 1 or 2")
+    hot, cold = REGIMES[regime]
+    return 1.0 - getattr(p, hot) / getattr(p, cold)
 
 
 @dataclass
@@ -156,11 +155,8 @@ def stopping_voltage(p: ModelParams, method: str = "wcme", M: int | None = None,
                        0.0, default_bracket(p), tol=tol)
 
 
-def converge_current(p: ModelParams, method: str = "rcme", start: int = 10,
-                     step: int = 4, tol: float = 1e-6, cap: int = 60) -> LadderCertificate:
-    """Ladder convergence of the mean right-lead current."""
-    if method not in METHODS or method == "wcme":
-        raise ValueError(f"method {method!r} has no Fock ladder; "
-                         "use a reaction-coordinate method")
-    return converge_in_levels(lambda M: _current(p, method, M),
-                              start=start, step=step, tol=tol, cap=cap)
+def converge_current(p: ModelParams, method: str = "rcme", **ladder) -> LadderCertificate:
+    """Ladder convergence of the mean right-lead current (``ladder``: start, step, tol, cap)."""
+    if method == "wcme":
+        raise ValueError("method 'wcme' has no Fock ladder; use a reaction-coordinate method")
+    return converge_in_levels(lambda M: _current(p, method, M), **ladder)

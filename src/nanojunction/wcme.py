@@ -12,7 +12,9 @@ dropped throughout.
 
 Each filter returns a pair (chi, phi): the bare operator with its matrix
 elements scaled by the occupied-bath weight (quanta available to absorb) and
-by the complementary weight.  A generator is ``coherent_terms`` +
+by the complementary weight.  A lead is filtered once, through the operator
+that removes an electron (``fermi_half``); the factors of its adjoint, which
+adds one, are the adjoints of that pair.  A generator is ``coherent_terms`` +
 ``lead_terms`` + ``bosonic_dissipator_terms``; ``rc`` makes the same three
 calls on the augmented space of the reaction coordinate, with the residual
 Ohmic bath in place of J (ARCME lifts its bare-filtered lead factors).
@@ -39,14 +41,13 @@ from .model import (
 from .superop import Liouvillian, Space, TaggedTerm, coherent_terms
 
 
-def fermi_half(A: np.ndarray, evals: np.ndarray, beta: float, mu: float, remove: bool):
-    """Filter a lead coupling operator with Fermi factors into (chi, phi).
+def fermi_half(A: np.ndarray, evals: np.ndarray, beta: float, mu: float):
+    """Filter a lead coupling operator that removes an electron, into (chi, phi).
 
-    ``remove=True`` treats A as removing an electron from the system (the
-    quantum enters the lead at -eta_jk); ``remove=False`` as adding one.
+    The quantum enters the lead at -eta_jk.  The factors of the adjoint, which
+    adds an electron, are the adjoints of these (fl(a - b) = -fl(b - a)).
     """
-    eta = np.subtract.outer(evals, evals)
-    occ = fermi(beta, mu, -eta if remove else eta)
+    occ = fermi(beta, mu, -np.subtract.outer(evals, evals))
     return occ * A, (1.0 - occ) * A
 
 
@@ -78,8 +79,8 @@ def build_wcme_lead_dissipator(A_rem: np.ndarray, evals: np.ndarray, Gamma: floa
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     A_add = A_rem.conj().T
-    rem_chi, rem_phi = fermi_half(A_rem, evals, beta, mu, remove=True)
-    add_chi, add_phi = fermi_half(A_add, evals, beta, mu, remove=False)
+    rem_chi, rem_phi = fermi_half(A_rem, evals, beta, mu)
+    add_chi, add_phi = rem_chi.conj().T, rem_phi.conj().T
     if lift is not None:
         A_rem, A_add, rem_chi, rem_phi, add_chi, add_phi = map(
             lift, (A_rem, A_add, rem_chi, rem_phi, add_chi, add_phi))

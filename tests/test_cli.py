@@ -259,7 +259,8 @@ def test_bad_invocations_exit_2(tmp_path, capsys):
                         ("[sweep]\nlog = maybe\n", "'log'"),
                         ("[rc]\nauto = true\ntol = -1\n", "tol"),
                         ("[model]\nbeta_R = -1\n", "inverse temperatures"),
-                        ("[model]\nlam = nan\n", "lam is NaN")]:
+                        ("[model]\nlam = nan\n", "lam is NaN"),
+                        ("[model]\nlam = inf\n", "lam")]:
         ini.write_text(text)
         capsys.readouterr()
         assert main([str(ini)] + bias) == 2, text

@@ -1,7 +1,8 @@
 """Import hygiene of the package, read from its source with ``ast``.
 
-No module imports a name it never uses, and the package ``__init__``
-imports exactly the names it exports in ``__all__``.
+No module imports a name it never uses, the package ``__init__`` imports
+exactly the names it exports in ``__all__``, and every exported name is read
+by another package module or by the benchmark in ``perfbench/``.
 """
 import ast
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 import nanojunction
 
 MODULES = sorted(Path(nanojunction.__file__).parent.glob("*.py"))
+PERFBENCH = sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
 
 
 def _imported(tree: ast.Module) -> set:
@@ -44,3 +46,16 @@ def test_init_imports_exactly_the_exported_names():
     tree = ast.parse(Path(nanojunction.__file__).read_text())
     assert _imported(tree) == set(nanojunction.__all__)
     assert len(nanojunction.__all__) == len(set(nanojunction.__all__))
+
+
+def test_every_exported_name_is_read_outside_init():
+    readers = [m for m in MODULES if m.name != "__init__.py"] + PERFBENCH
+    read = set()
+    for path in readers:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    assert PERFBENCH
+    assert sorted(set(nanojunction.__all__) - read) == []

@@ -8,7 +8,6 @@ from scipy.integrate import quad
 
 from nanojunction.model import (
     ModelParams,
-    bose,
     build_lead_coupling_ops,
     build_phonon_coupling_op,
     build_system_hamiltonian,
@@ -42,6 +41,9 @@ def test_parameter_validation(bad):
 def test_nan_is_rejected_in_every_field(name):
     with pytest.raises(ValueError, match=f"{name} is NaN"):
         ModelParams(**{name: math.nan})
+    if name != "U":             # U = inf is the hard Coulomb blockade
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            ModelParams(**{name: math.inf})
 
 
 def test_regime_presets():
@@ -133,11 +135,3 @@ def test_fermi_stability_and_particle_hole():
         mu = rng.normal(scale=3.0)
         x = rng.normal(scale=5.0)
         assert fermi(beta, mu, mu + x) + fermi(beta, mu, mu - x) == pytest.approx(1.0, abs=1e-14)
-
-
-def test_bose_identities():
-    assert bose(1.0, 700.0) == pytest.approx(0.0, abs=1e-300)
-    w = 1.7
-    assert bose(2.0, -w) == pytest.approx(-(1.0 + bose(2.0, w)), rel=1e-12)
-    with pytest.raises(ValueError):
-        bose(1.0, 0.0)

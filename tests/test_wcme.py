@@ -16,7 +16,6 @@ import pytest
 
 from nanojunction.model import (
     ModelParams,
-    bose,
     build_lead_coupling_ops,
     build_system_hamiltonian,
     drude_lorentz,
@@ -35,7 +34,7 @@ def _classical_rates(p):
     fR1 = fermi(p.beta_R, p.mu_R, p.eps_R)
     fR2 = fermi(p.beta_R, p.mu_R, p.eps_R + p.U)
     J = drude_lorentz(p, p.Delta)
-    n = bose(p.beta_ph, p.Delta)
+    n = 1.0 / np.expm1(p.beta_ph * p.Delta)
     absorb = 2.0 * np.pi * J * n          # L -> R, quantum taken from the bath
     emit = 2.0 * np.pi * J * (n + 1.0)    # R -> L
     return fL1, fL2, fR1, fR2, absorb, emit
