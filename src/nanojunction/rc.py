@@ -49,10 +49,10 @@ METHODS = ("wcme", "rcme", "arcme")
 
 # Largest restricted superoperator dimension the dense solve path may
 # allocate, checked from the sector sizes before H' is built.  The peak is
-# the (n+1)^2 bordered buffer, which the LU overwrites, plus assembly's
-# working set of a few MB (one sector pair's stacked term blocks and one
-# contraction slab): ~16 (n+1)^2 bytes, ~1.30 GB at n = 9000, which is
-# M = 60 (an M = 60 report peaked at 1336 MB RSS).
+# the float64 (n+1)^2 bordered buffer, which the LU overwrites, plus
+# assembly's working set of a few MB (one sector pair's stacked term blocks
+# and one contraction slab): ~8 (n+1)^2 bytes, ~648 MB at n = 9000, which
+# is M = 60 (an M = 60 report peaked at 734 MB RSS).
 MAX_RESTRICTED_DIM = 9000
 
 

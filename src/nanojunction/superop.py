@@ -16,12 +16,21 @@ m x m factor blocks of the terms whose factors reach that pair (identity
 factors reach only the diagonal pairs), added in place a few l-slabs at a
 time, so assembly holds one pair's stacked blocks and a slab temporary.
 
+The generators map Hermitian rho to Hermitian rho, so the buffer and its LU
+are real (float64): each position of ``Space.index`` holds a real coordinate
+of a Hermitian matrix, Re rho_rc at (r, c) for r <= c and Im rho_rc at
+(c, r) for r < c (``Space.to_real`` / ``Space.from_real``).  The diagonal
+keeps its positions, so the trace row and column are unchanged.  Each
+slab's complex product is turned into its real image before the next, and
+a complex right-hand side y = H + iK is solved as its two Hermitian parts.
+
 Importing this module sets NumPy's bundled OpenBLAS to one thread when SciPy
 links its own, so that NumPy's idle workers do not spin on the LU's cores.
 """
 from __future__ import annotations
 
 import ctypes
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -54,7 +63,7 @@ def _pin_numpy_blas(numpy_ext: str, scipy_ext: str) -> None:
 
 _pin_numpy_blas(np.linalg._umath_linalg.__file__, sla._flapack.__file__)
 
-_CHUNK_BYTES = 1 << 18   # bound on ``assemble``'s contraction temporary (or one l-slab)
+_CHUNK_BYTES = 1 << 18   # bound on ``assemble``'s slab temporaries (or one l-slab's)
 
 
 class NonUniqueSteadyState(Exception):
@@ -86,6 +95,11 @@ class Space:
         self.index = np.concatenate([(s[:, None] + d * s).ravel() for s in self.sectors])
         self.n = len(self.index)
         self.trace_vec = (self.index % (d + 1) == 0).astype(float)
+        row, col = np.divmod(self.index, d)
+        pos = np.empty(d * d, dtype=np.intp)
+        pos[self.index] = np.arange(self.n)
+        self._partner = pos[col * d + row]   # position of the transposed entry
+        self._side = np.sign(col - row)      # +1 above the diagonal, -1 below, 0 on it
 
     def vec(self, rho: np.ndarray) -> np.ndarray:
         """Restrict and column-stack a d x d matrix."""
@@ -96,6 +110,21 @@ class Space:
         rho = np.zeros(self.dim * self.dim, dtype=complex)
         rho[self.index] = x
         return rho.reshape(self.dim, self.dim)
+
+    def to_real(self, x: np.ndarray) -> np.ndarray:
+        """Real coordinates of (X + X^dag) / 2, X the matrix with restricted vector x.
+
+        For a Hermitian X that is X itself, bit for bit; for any X it is
+        ``to_real(x)`` and ``to_real(-1j * x)`` that ``from_real`` maps back
+        to the Hermitian H and K of X = H + iK.
+        """
+        xp = x[self._partner]
+        return np.where(self._side >= 0, 0.5 * (x.real + xp.real), 0.5 * (xp.imag - x.imag))
+
+    def from_real(self, y: np.ndarray) -> np.ndarray:
+        """Restricted vector of the Hermitian matrix with real coordinates y."""
+        yp = y[self._partner]
+        return np.where(self._side >= 0, y + 1j * self._side * yp, yp - 1j * y)
 
 
 @dataclass
@@ -128,26 +157,29 @@ class TaggedTerm:
 def assemble(space: Space, terms, out: np.ndarray | None = None) -> np.ndarray:
     """Sum the factorized terms into a dense restricted superoperator.
 
-    Returns a fresh Fortran-ordered n x n array, or adds the sum into the
-    leading n x n block of ``out`` (Fortran-ordered, so that its transpose
-    is written row by row).  Each sector-pair block gets one contraction
+    Returns a fresh complex Fortran-ordered n x n array, or adds the sum into
+    the leading n x n block of ``out`` (Fortran-ordered, so that its transpose
+    is written row by row).  A float64 ``out`` receives it in real
+    coordinates instead, ``to_real`` of its action on ``from_real`` when the
+    terms preserve Hermiticity (its rows read the entries of the image on
+    and above the diagonal).  Each sector-pair block gets one contraction
     over the stacked factor blocks of the terms that reach it, a few
     l-slabs at a time; entries are summed in the BLAS kernel's order.
     """
     if out is None:
         out = np.zeros((space.n, space.n), dtype=complex, order="F")
-    nsec = len(space.sectors)
+    real = not np.iscomplexobj(out)
+    d, nsec = space.dim, len(space.sectors)
+    onehot = np.zeros((nsec, d))
+    onehot[space.sector_id, np.arange(d)] = 1.0
 
     def reach(X):   # reach[a, c]: X[sa, sc] has a non-zero; the identity's is a == c
         if X is None:
             return np.eye(nsec, dtype=bool)
-        r = np.zeros((nsec, nsec), dtype=bool)
-        rows, cols = np.nonzero(X)
-        r[space.sector_id[rows], space.sector_id[cols]] = True
-        return r
+        return onehot @ (X != 0) @ onehot.T > 0
 
     reaches = [(reach(t.left), reach(t.right).T) for t in terms]
-    eye = np.eye(space.dim, dtype=complex)
+    eye = np.eye(d, dtype=complex)
     # a block of L is coef * kron(B^T, A); its transpose kron(B, A^T), viewed
     # as blk[l, k, j, i] = sum_t coef_t B_t[l, j] A_t[i, k], is added into
     # the C-ordered out.T
@@ -157,15 +189,67 @@ def assemble(space: Space, terms, out: np.ndarray | None = None) -> np.ndarray:
             hit = [t for t, (lr, rr) in zip(terms, reaches) if lr[a, c] and rr[a, c]]
             if not hit:
                 continue
-            ma, mc, ac, ca = len(sa), len(sc), np.ix_(sa, sc), np.ix_(sc, sa)
-            As = np.stack([(eye if t.left is None else t.left)[ac] for t in hit])
-            Bs = np.stack([t.coef * (eye if t.right is None else t.right)[ca] for t in hit])
+            ma, mc = len(sa), len(sc)
+            ac = (sa[:, None] * d + sc).ravel()   # flat positions of X[sa, sc]
+            ca = (sc[:, None] * d + sa).ravel()
+            As = np.stack([(eye if t.left is None else t.left).reshape(-1).take(ac)
+                           for t in hit]).reshape(-1, ma, mc)
+            Bs = np.stack([t.coef * (eye if t.right is None else t.right).reshape(-1).take(ca)
+                           for t in hit]).reshape(-1, mc, ma)
             blk = LT[offc : offc + mc * mc, offa : offa + ma * ma].reshape(mc, mc, ma, ma)
-            nl = max(1, _CHUNK_BYTES // (16 * mc * ma * ma))   # whole l-slabs per contraction
+            # whole l-slabs per contraction; a real one also holds two real images
+            nl = max(1, _CHUNK_BYTES // ((32 if real else 16) * mc * ma * ma))
             for l0 in range(0, mc, nl):
-                slab = np.tensordot(Bs[:, l0 : l0 + nl], As, (0, 0))   # [l, j, i, k]
-                blk[l0 : l0 + nl] += slab.transpose(0, 3, 1, 2)
+                ls = slice(l0, l0 + nl)
+                if real:
+                    _add_real_slab(blk, Bs[:, ls], As, l0)
+                else:
+                    blk[ls] += np.tensordot(Bs[:, ls], As, (0, 0)).transpose(0, 3, 1, 2)
     return out
+
+
+@functools.lru_cache(maxsize=64)
+def _real_image(ma: int, mc: int):
+    """Tables that turn the complex l-slabs of an (ma, mc) sector pair into real ones.
+
+    Per l, the product z[j, i, k] is read as floats (Re, Im interleaved).
+    Output entry (i, j) of input k, at [k, j, i], takes Re of (i, j) where
+    i <= j and Im of (j, i) otherwise: ``f`` indexes the real image of z,
+    and ``h`` times ``sign`` that of -i z.  ``above`` and ``below`` mark the
+    inputs (l, k) with k > l and k < l.
+    """
+    j, i = np.divmod(np.arange(ma * ma), ma)
+    upper = i <= j
+    f = 2 * (np.where(upper, j * ma + i, i * ma + j) * mc + np.arange(mc)[:, None]) + ~upper
+    k, l = np.arange(mc), np.arange(mc)[:, None, None, None]
+    return (f.ravel(), (f ^ 1).ravel(), np.where(upper, 1.0, -1.0).reshape(ma, ma),
+            k[:, None, None] > l, k[:, None, None] < l)
+
+
+def _add_real_slab(blk: np.ndarray, Bs: np.ndarray, As: np.ndarray, l0: int) -> None:
+    """Add the real image of one slab z[l, k, j, i] = L(E_kl)[i, j] (l from l0) to a block.
+
+    ``from_real`` of a unit coordinate is E_kl + E_lk at (k, l) and
+    i (E_kl - E_lk) at (l, k), for k < l, and E_kk on the diagonal; so
+    L(E_kl) enters the real column (k, l) as the real image of z where
+    k <= l and of -i z where k > l, and the column (l, k) as that of z
+    where k > l and of i z where k < l.
+    """
+    nl, ma, mc = Bs.shape[1], Bs.shape[2], As.shape[2]
+    f, h, sign, above, below = _real_image(ma, mc)
+    ls = slice(l0, l0 + nl)
+    # the tensordot of Bs and As over the terms, laid out [(l, j), (i, k)]
+    z = np.dot(Bs.reshape(len(Bs), -1).T, As.reshape(len(As), -1)).view(float).reshape(nl, -1)
+    zf = z.take(f, axis=1).reshape(nl, mc, ma, ma)
+    zh = z.take(h, axis=1).reshape(nl, mc, ma, ma)
+    del z
+    zh *= sign
+    up, down = above[ls], below[ls]
+    own, other = blk[ls], blk[:, ls].swapaxes(0, 1)   # the columns (k, l) and (l, k)
+    np.add(own, zf, out=own, where=~up)
+    np.add(own, zh, out=own, where=up)
+    np.add(other, zf, out=other, where=up)
+    np.subtract(other, zh, out=other, where=down)
 
 
 def apply_terms(terms, space: Space, x: np.ndarray) -> np.ndarray:
@@ -186,9 +270,10 @@ def coherent_terms(H: np.ndarray):
 class Liouvillian:
     """Restricted generator: its factorized terms and their bordered LU.
 
-    ``terms`` is the one stored form; construction sums them into the
-    Fortran-ordered bordered buffer [[L, t^dag], [t, 0]], which the first
-    ``bordered_lu`` call factors in place.  ``energy_op`` is the Hamiltonian
+    ``terms`` is the one stored form; construction sums them, in real
+    coordinates (``Space.to_real``), into the float64 Fortran-ordered
+    bordered buffer [[L, t^T], [t, 0]], which the first ``bordered_lu`` call
+    factors in place.  ``energy_op`` is the Hamiltonian
     energy currents are traced against: the one in the coherent part, except
     for the additive methods, which book energy at the bare electronic one.
     """
@@ -202,7 +287,7 @@ class Liouvillian:
 
     def __post_init__(self):
         n = self.space.n
-        self._bordered = np.zeros((n + 1, n + 1), dtype=complex, order="F")
+        self._bordered = np.zeros((n + 1, n + 1), order="F")
         assemble(self.space, self.terms, self._bordered)
         self._bordered[:n, n] = self.space.trace_vec
         self._bordered[n, :n] = self.space.trace_vec
@@ -221,7 +306,7 @@ class Liouvillian:
         return float(np.max(np.abs(self.space.vec(K.T))))
 
     def bordered_lu(self):
-        """LU of [[L, t^dag], [t, 0]]; shared by steady state and pseudo-inverse."""
+        """Real LU of [[L, t^T], [t, 0]]; shared by steady state and pseudo-inverse."""
         if self._lu is None:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", sla.LinAlgWarning)
@@ -242,17 +327,22 @@ class SteadyState:
     rho: np.ndarray
     vec: np.ndarray
     residual: float
-    hermiticity_defect: float
     min_population: float
 
 
 def _bordered_solve(L: Liouvillian, y, trace: float, error: type) -> np.ndarray:
-    """x from [[L, t^dag], [t, 0]] [x; s] = [y; trace], with the cached LU."""
-    n = L.space.n
-    rhs = np.empty(n + 1, dtype=complex)
-    rhs[:n] = y
-    rhs[n] = trace
-    x = sla.lu_solve(L.bordered_lu(), rhs, check_finite=False)[:n]
+    """x from [[L, t^T], [t, 0]] [x; s] = [y; trace], with the cached real LU.
+
+    y = H + iK with H and K Hermitian; each is solved in real coordinates
+    (one column each, skipped when zero), so any complex y is answered.
+    """
+    lu, sp = L.bordered_lu(), L.space
+    y = np.broadcast_to(np.asarray(y, dtype=complex), (sp.n,))
+    x = np.zeros(sp.n, dtype=complex)
+    for unit, part, tr in ((1.0, y, trace), (1j, -1j * y, 0.0)):
+        rhs = np.append(sp.to_real(part), tr)
+        if rhs.any():
+            x += unit * sp.from_real(sla.lu_solve(lu, rhs, check_finite=False)[:-1])
     if not np.all(np.isfinite(x)):
         raise error("bordered solve returned non-finite entries")
     return x
@@ -267,9 +357,7 @@ def steady_state(L: Liouvillian, tol: float = 1e-9) -> SteadyState:
     populations go below -1e-3.
     """
     x = _bordered_solve(L, 0.0, 1.0, NonUniqueSteadyState)
-    rho = L.space.devec(x)
-    herm = float(np.max(np.abs(rho - rho.conj().T)))
-    rho = 0.5 * (rho + rho.conj().T)
+    rho = L.space.devec(x)   # Hermitian by construction
     tr = np.trace(rho).real
     if abs(tr) < 1e-300:
         raise ConvergenceFailure("steady-state trace vanished")
@@ -291,8 +379,7 @@ def steady_state(L: Liouvillian, tol: float = 1e-9) -> SteadyState:
         raise ConvergenceFailure(f"steady-state population {minpop:.3e} below -1e-3")
     if minpop < -1e-10:
         warnings.warn(f"slightly negative steady-state population {minpop:.3e}")
-    return SteadyState(rho=rho, vec=x, residual=residual,
-                       hermiticity_defect=herm, min_population=minpop)
+    return SteadyState(rho=rho, vec=x, residual=residual, min_population=minpop)
 
 
 def restricted_pseudo_inverse_apply(L: Liouvillian, ss: SteadyState, y: np.ndarray) -> np.ndarray:

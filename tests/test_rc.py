@@ -291,20 +291,22 @@ def test_memory_guard_stops_the_ladder_after_the_largest_admitted_cutoff(
 def test_build_and_factorization_hold_one_bordered_array(M):
     """Peak memory of a build plus its LU: the bordered buffer, and little else.
 
-    Assembly adds into each sector-pair block of the (n+1)^2 bordered buffer
-    in place, one contraction over the stacked m x m factor blocks of the
-    terms that reach the pair, a few l-slabs at a time, and the LU
-    overwrites the buffer.  Besides the buffer, the bound allows exactly
-    what that holds: the terms' own factors, one sector pair's stacked
-    blocks (at most two per term), the slabs' product temporary (at most
+    Assembly adds into each sector-pair block of the float64 (n+1)^2
+    bordered buffer (8 bytes an entry, real coordinates) in place, one
+    contraction over the stacked m x m factor blocks of the terms that reach
+    the pair, a few l-slabs at a time, each slab turned into its real image
+    before the next, and the real LU overwrites the buffer.  Besides the
+    buffer, the bound allows exactly what that holds: the terms' own
+    factors, one sector pair's stacked blocks (at most two per term), a
+    slab's complex product with its two real images (together at most
     ``_CHUNK_BYTES`` at these cutoffs) and as much again for the operand
-    copy and the buffers of the strided add.  A block-sized temporary, a
-    separate generator matrix or a copy made for the factorization would
-    not fit.  The factors are counted once per use, not once per array: a
-    factor shared by several terms then stands in for the build's own
-    transient arrays (filtered operators, products), which the distinct
-    arrays alone do not cover (keyed by ``id``, the bound falls short of the
-    peak by about 115 KiB at M = 14 and 111 KiB at M = 22).
+    copies and the buffers of the masked adds.  A complex buffer, a
+    block-sized temporary, a separate generator matrix or a copy made for
+    the factorization would not fit.  The factors are counted once per use,
+    not once per array: a factor shared by several terms then stands in for
+    the build's own transient arrays (filtered operators, products), which
+    the distinct arrays alone do not cover (keyed by ``id``, the bound falls
+    short of the peak by about 187 KiB at M = 22).
     """
     tracemalloc.start()
     try:
@@ -316,4 +318,4 @@ def test_build_and_factorization_hold_one_bordered_array(M):
     m = max(len(s) for s in L.space.sectors)
     terms = sum(f.nbytes for t in L.terms for f in (t.left, t.right) if f is not None)
     pair_blocks = 2 * len(L.terms) * 16 * m * m
-    assert peak <= 16 * (L.space.n + 1) ** 2 + terms + 2 * _CHUNK_BYTES + pair_blocks
+    assert peak <= 8 * (L.space.n + 1) ** 2 + terms + 2 * _CHUNK_BYTES + pair_blocks

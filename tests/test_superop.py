@@ -13,7 +13,7 @@ import scipy.linalg
 import nanojunction
 from nanojunction import superop
 from nanojunction.model import regime_params
-from nanojunction.rc import assemble_rcme
+from nanojunction.rc import METHODS, assemble_rcme, build_generator
 from nanojunction.superop import (
     ConvergenceFailure,
     Liouvillian,
@@ -170,6 +170,75 @@ def test_sector_assembly_matches_full_space():
     assert np.allclose(y_restr, y_full, atol=1e-13)
 
 
+def _hermitian_coordinates(space):
+    """T with y = T x on Hermitian x, entry by entry from ``Space.index``:
+    y holds Re rho_rc at (r, c) for r <= c and Im rho_rc at (c, r) for r < c."""
+    d, n = space.dim, space.n
+    pos = {int(v): p for p, v in enumerate(space.index)}
+    T = np.zeros((n, n), dtype=complex)
+    for p, v in enumerate(space.index):
+        r, c = divmod(int(v), d)
+        q = pos[c * d + r]
+        if r <= c:   # Re x_p = (x_p + x_q) / 2
+            T[p, p] += 0.5
+            T[p, q] += 0.5
+        else:        # Im x_q = (x_q - x_p) / 2i
+            T[p, q], T[p, p] = -0.5j, 0.5j
+    return T
+
+
+def test_real_coordinates_of_hermitian_matrices():
+    rng = np.random.default_rng(10)
+    sp = Space([0, 1, 1, 2, 1, 0])
+    T = _hermitian_coordinates(sp)
+    for _ in range(5):
+        X = _random_matrix(rng, 6)
+        x = sp.vec(X + X.conj().T)
+        y = sp.to_real(x)
+        assert np.allclose(T @ x, y, rtol=0, atol=1e-15)
+        assert np.array_equal(sp.from_real(y), x)
+        assert sp.trace_vec @ y == pytest.approx((sp.trace_vec @ x).real, abs=1e-14)
+    y = rng.normal(size=sp.n)
+    assert np.allclose(sp.from_real(y), np.linalg.solve(T, y), rtol=0, atol=1e-14)
+    # any matrix is H + iK, both Hermitian, through the same two maps
+    x = sp.vec(_random_matrix(rng, 6))
+    H, K = sp.devec(sp.from_real(sp.to_real(x))), sp.devec(sp.from_real(sp.to_real(-1j * x)))
+    assert np.array_equal(H, H.conj().T) and np.array_equal(K, K.conj().T)
+    assert np.allclose(sp.vec(H + 1j * K), x, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("U", [np.inf, 0.8])
+@pytest.mark.parametrize("method", METHODS)
+def test_real_bordered_block_is_the_generator_in_hermitian_coordinates(method, U):
+    """The float64 buffer holds T L T^-1 (real, since L keeps rho Hermitian)
+    bordered by the unchanged trace row and column; U = 0.8 has four states."""
+    L = build_generator(regime_params(1, lam=30.0, U=U), method, 4)
+    n = L.space.n
+    T = _hermitian_coordinates(L.space)
+    dense = assemble(L.space, L.terms)
+    expected = T @ dense @ np.linalg.inv(T)
+    scale = np.max(np.abs(dense))
+    assert L._bordered.dtype == np.float64 and L._bordered.flags.f_contiguous
+    assert np.max(np.abs(expected.imag)) <= 1e-13 * scale
+    assert np.max(np.abs(L._bordered[:n, :n] - expected.real)) <= 1e-13 * scale
+    assert np.array_equal(L._bordered[:n, n], L.space.trace_vec)
+    assert np.array_equal(L._bordered[n, :n], L.space.trace_vec)
+    assert L._bordered[n, n] == 0.0
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_terms_that_break_hermiticity_fail_the_residual_certificate(seed):
+    """The real solve returns a Hermitian rho whatever the terms; the residual,
+    applied from the complex terms, is what refuses a generator that does
+    not keep rho Hermitian."""
+    rng = np.random.default_rng(20 + seed)
+    L = _random_ergodic(rng, 4)
+    X = _random_matrix(rng, 4)
+    broken = Liouvillian(space=L.space, terms=L.terms + [TaggedTerm(0.3j, left=X + X.conj().T)])
+    with pytest.raises(ConvergenceFailure, match="residual"):
+        steady_state(broken)
+
+
 def test_classical_two_state_rates():
     up = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
     terms = _lindblad_terms(np.sqrt(1.0) * up)            # 0 -> 1 at rate 1
@@ -186,7 +255,6 @@ def test_steady_state_certificate_fields():
     assert ss.residual < 1e-9
     assert np.trace(ss.rho).real == pytest.approx(1.0, abs=1e-12)
     assert np.max(np.abs(ss.rho - ss.rho.conj().T)) == 0.0
-    assert ss.hermiticity_defect < 1e-10
     assert ss.min_population > -1e-10
     assert np.min(np.linalg.eigvalsh(ss.rho)) > -1e-10
 
