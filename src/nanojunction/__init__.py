@@ -28,7 +28,7 @@ from .superop import ConvergenceFailure, Liouvillian, NonUniqueSteadyState
 from .superop import Space, SteadyState, TaggedTerm
 from .superop import restricted_pseudo_inverse_apply, steady_state
 from .thermo import BracketError, TransportReport, carnot_efficiency
-from .thermo import converge_current, energy_currents, stopping_voltage, transport_report
+from .thermo import converge_report, energy_currents, stopping_voltage, transport_report
 from .wcme import assemble_wcme
 
 __all__ = [
@@ -37,7 +37,7 @@ __all__ = [
     "NonUniqueSteadyState", "Space", "SteadyState", "TaggedTerm",
     "TransportReport", "assemble_arcme", "assemble_rcme", "assemble_wcme",
     "build_augmented_hamiltonian", "build_generator",
-    "carnot_efficiency", "converge_current", "converge_in_levels", "cumulants",
+    "carnot_efficiency", "converge_in_levels", "converge_report", "cumulants",
     "drude_lorentz", "energy_currents", "fermi", "mean_current", "regime_params",
     "restricted_pseudo_inverse_apply", "steady_state", "stopping_voltage",
     "transport_report", "zero_frequency_noise",

@@ -40,7 +40,7 @@ import scipy
 from . import __version__
 from .model import REGIMES, ModelParams, regime_params
 from .rc import METHODS, check_ladder
-from .thermo import TransportReport, converge_current, transport_report
+from .thermo import TransportReport, converge_report, transport_report
 
 COLUMNS = ("method", "regime", "lambda", "V", "beta_L", "beta_R", "beta_ph", "M",
            "c1", "c2", "upsilon", "P", "IE_L", "IE_R", "IE_ph", "Q_in", "eta",
@@ -89,8 +89,8 @@ class SweepSpec:
             raise ValueError("points must be at least 1")
         if self.log and (self.start <= 0 or self.stop <= 0):
             raise ValueError("log grids need positive endpoints")
-        if self.swept == "M" and "wcme" in self.methods:
-            raise ValueError("wcme has no Fock truncation to sweep")
+        if self.swept == "M" and ("wcme" in self.methods or self.rc.auto):
+            raise ValueError("sweeping M needs a fixed Fock truncation (no wcme, no rc auto)")
         if self.swept == "M" and self.grid().min() < 1:
             raise ValueError("Fock truncations M must be at least 1")
         if self.rc.levels < 1:
@@ -144,20 +144,16 @@ def _solve_point(task) -> tuple:
     """Worker for one (method, grid value) pair; never raises."""
     spec, method, x = task
     p = M = None
-    converged = True
     try:
         p = point_params(spec, x)
-        if method != "wcme":
-            if spec.swept == "M":
-                M = int(round(x))
-            elif spec.rc.auto:
-                cert = converge_current(p, method, start=spec.rc.start, step=spec.rc.step,
-                                        tol=spec.rc.tol, cap=spec.rc.cap)
-                M, converged = cert.M, cert.converged
-            else:
-                M = spec.rc.levels
-        rep = transport_report(p, method, spec.regime, M=M, converged=converged)
-        return _row(spec, method, p, M, rep), None
+        if method != "wcme" and spec.rc.auto:
+            rep, _ = converge_report(p, method, spec.regime, start=spec.rc.start,
+                                     step=spec.rc.step, tol=spec.rc.tol, cap=spec.rc.cap)
+        else:
+            if method != "wcme":
+                M = int(round(x)) if spec.swept == "M" else spec.rc.levels
+            rep = transport_report(p, method, spec.regime, M=M)
+        return _row(spec, method, p, rep.M, rep), None
     except Exception as exc:  # logged per point; the sweep must go on
         msg = f"{method} at {spec.swept}={x:.8g}: {type(exc).__name__}: {exc}"
         return _row(spec, method, p, M), msg

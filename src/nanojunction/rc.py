@@ -23,7 +23,7 @@ the weak-coupling generator or either of these by name.  Mode-space
 truncation is handled by ``converge_in_levels``, which walks the Fock cutoff
 upward and certifies (or honestly refuses to certify) relative convergence
 of an observable; ``check_ladder`` is the one rule for its settings, and
-``thermo.converge_current`` walks it for the mean current.
+``thermo.converge_report`` walks it on each level's report.
 """
 from __future__ import annotations
 

@@ -1,5 +1,5 @@
 """Energy flows, output power, efficiency, the stopping voltage and the
-Fock-cutoff convergence of the mean current.
+report at a Fock cutoff certified on its mean current.
 
 Sign convention: every energy current is the flow *into* the system from the
 named environment, IE_X = tr(E D_X rho_ss), so in steady state the three
@@ -17,7 +17,7 @@ produces spurious super-Carnot numbers.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -92,9 +92,9 @@ class TransportReport:
     residual: float
 
 
-def transport_report(p: ModelParams, method: str, regime: int, M: int | None = None,
-                     converged: bool = True) -> TransportReport:
-    """Solve one operating point and assemble the full report."""
+def transport_report(p: ModelParams, method: str, regime: int,
+                     M: int | None = None) -> TransportReport:
+    """Solve one operating point and assemble the full report (``converged=True``)."""
     eta_c = carnot_efficiency(p, regime)   # rejects a bad regime before any build
     L = build_generator(p, method, M)
     ss = steady_state(L)
@@ -109,7 +109,7 @@ def transport_report(p: ModelParams, method: str, regime: int, M: int | None = N
                            c1=cum.c1, c2=cum.c2, upsilon=cum.upsilon, P=P,
                            IE_L=IE_L, IE_R=IE_R, IE_ph=IE_ph, Q_in=Q_in,
                            eta=eta, eta_carnot=eta_c, carnot_violated=violated,
-                           converged=converged, residual=ss.residual)
+                           converged=True, residual=ss.residual)
 
 
 def bisect_root(f, a: float, b: float, tol: float = 1e-8) -> float:
@@ -155,8 +155,12 @@ def stopping_voltage(p: ModelParams, method: str = "wcme", M: int | None = None,
                        0.0, default_bracket(p), tol=tol)
 
 
-def converge_current(p: ModelParams, method: str = "rcme", **ladder) -> LadderCertificate:
-    """Ladder convergence of the mean right-lead current (``ladder``: start, step, tol, cap)."""
+def converge_report(p: ModelParams, method: str, regime: int,
+                    **ladder) -> tuple[TransportReport, LadderCertificate]:
+    """(report, certificate) at the cutoff certified on c1 (``ladder``: start, step, tol, cap)."""
     if method == "wcme":
         raise ValueError("method 'wcme' has no Fock ladder; use a reaction-coordinate method")
-    return converge_in_levels(lambda M: _current(p, method, M), **ladder)
+    reports = {}   # every level's: after a bounce the certificate names the one before last
+    cert = converge_in_levels(lambda M: reports.setdefault(
+        M, transport_report(p, method, regime, M=M)).c1, **ladder)
+    return replace(reports[cert.M], converged=cert.converged), cert

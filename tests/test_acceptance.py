@@ -8,10 +8,10 @@ residual-bath dissipator leaves negative populations as large as the
 blockade current itself (non-additive) or growing with the cutoff
 (additive); see test 12 for the measured tables.
 
-Reaction-coordinate solves all go through the memoised ``_ladder``, which
-files every certificate in ``_CERTS``.  ``_reported_points`` lists every
-point the module reports, so test 12 audits the same ladders whether it
-runs alone or after the rest.
+Reaction-coordinate ladders all go through the memoised ``_certified``,
+which files every point's report and certificate in ``_CERTS``.
+``_reported_points`` lists every point the module reports, so test 12
+audits the same ladders whether it runs alone or after the rest.
 """
 import functools
 
@@ -24,7 +24,7 @@ from nanojunction.model import ModelParams, regime_params
 from nanojunction.rc import assemble_arcme, assemble_rcme
 from nanojunction.superop import Liouvillian, Space, coherent_terms, steady_state
 from nanojunction.thermo import (
-    converge_current,
+    converge_report,
     energy_currents,
     stopping_voltage,
     transport_report,
@@ -39,22 +39,20 @@ COMPANION_GRID = np.linspace(1.805, 1.825, 5)
 _CERTS: dict = {}
 
 
-def _ladder(p: ModelParams, method: str):
-    """Memoized Fock-ladder walk; every certificate lands in ``_CERTS``."""
-    key = (method, p)
+def _certified(p: ModelParams, method: str, regime: int):
+    """Memoized ``converge_report``: (report, certificate), filed in ``_CERTS``.
+
+    The regime is part of the key: the certificate does not depend on it,
+    but the report's eta, Q_in and eta_C do.
+    """
+    key = (method, p, regime)
     if key not in _CERTS:
-        _CERTS[key] = converge_current(p, method)
+        _CERTS[key] = converge_report(p, method, regime)
     return _CERTS[key]
 
 
-def _rc_report(p: ModelParams, method: str, regime: int):
-    cert = _ladder(p, method)
-    return transport_report(p, method, regime, M=cert.M,
-                            converged=cert.converged)
-
-
 def _describe(key, cert):
-    method, p = key
+    method, p, _ = key
     flag = "ok " if (cert.converged and cert.increment < 1e-6) else "RED"
     return (f"[{flag}] {method:5s} lam={p.lam:<7g} V={p.V:<10.6g} "
             f"betas=({p.beta_L:g},{p.beta_R:g},{p.beta_ph:g}) "
@@ -102,37 +100,36 @@ def _additive_window() -> tuple:
     """
     p = WINDOW_PARAMS
     vs_w = stopping_voltage(p, "wcme")
-    M = _ladder(p.with_bias(float(_sub_stop_grid()[-1])), "arcme").M
+    M = _certified(p.with_bias(float(_sub_stop_grid()[-1])), "arcme", 2)[1].M
     vs_a = stopping_voltage(p, "arcme", M=M, tol=1e-6)
     return vs_w, vs_a, vs_w + (vs_a - vs_w) * np.array([0.25, 0.5, 0.75])
 
 
 def _reported_points() -> list:
-    """Every (method, params) whose ladder backs a number this module reports."""
+    """Every (method, params, regime) whose ladder backs a number this module reports."""
     p = WINDOW_PARAMS
-    points = [("rcme", regime_params(1, lam=lam)) for lam in LAMBDA_SWEEP]
-    points += [("rcme", regime_params(r, lam=0.01)) for r in (1, 2)]
-    points += [(m, regime_params(r)) for r in (1, 2) for m in ("rcme", "arcme")]
-    points += [(m, p.with_bias(float(v)))
+    points = [("rcme", regime_params(1, lam=lam), 1) for lam in LAMBDA_SWEEP]
+    points += [("rcme", regime_params(r, lam=0.01), r) for r in (1, 2)]
+    points += [(m, regime_params(r), r) for r in (1, 2) for m in ("rcme", "arcme")]
+    points += [(m, p.with_bias(float(v)), 2)
                for v in _sub_stop_grid() for m in ("rcme", "arcme")]
-    points += [("arcme", p.with_bias(float(v)))
+    points += [("arcme", p.with_bias(float(v)), 2)
                for v in (*_additive_window()[2], *COMPANION_GRID)]
-    points.append(("arcme", regime_params(1, lam=1000.0)))
+    points.append(("arcme", regime_params(1, lam=1000.0), 1))
     return list(dict.fromkeys(points))
 
 
 @pytest.fixture(scope="module")
 def lambda_ladders():
     """Regime-1 non-additive current across the coupling sweep."""
-    return {lam: _ladder(regime_params(1, lam=lam), "rcme")
+    return {lam: _certified(regime_params(1, lam=lam), "rcme", 1)[1]
             for lam in LAMBDA_SWEEP}
 
 
 @pytest.fixture(scope="module")
 def reported_ladders():
     """The ladder behind every reported point, independent of test order."""
-    return {(method, p): _ladder(p, method)
-            for method, p in _reported_points()}
+    return {(m, p, r): _certified(p, m, r)[1] for m, p, r in _reported_points()}
 
 
 def test_criterion_01_weak_coupling_efficiency_identity():
@@ -179,7 +176,7 @@ def test_criterion_03_stopping_voltage_formulas():
 def test_criterion_04_methods_agree_at_weak_coupling():
     for regime in (1, 2):
         p = regime_params(regime, lam=0.01)
-        cert = _ladder(p, "rcme")
+        cert = _certified(p, "rcme", regime)[1]
         i_w = transport_report(p, "wcme", regime).c1
         rel = abs(cert.value - i_w) / abs(i_w)
         print(f"regime {regime}: I_rcme={cert.value:.9e} (M={cert.M}, "
@@ -234,7 +231,7 @@ def test_criterion_06_counting_oracle_agreement():
         builds = [("wcme", assemble_wcme(p))]
         for method, assemble in (("rcme", assemble_rcme),
                                  ("arcme", assemble_arcme)):
-            builds.append((method, assemble(p, _ladder(p, method).M)))
+            builds.append((method, assemble(p, _certified(p, method, regime)[1].M)))
         for method, L in builds:
             ss = steady_state(L)
             cum = cumulants(L, ss)
@@ -272,7 +269,7 @@ def test_criterion_08_conservation_suite():
                 L = assemble_wcme(p)
             else:
                 assemble = assemble_rcme if method == "rcme" else assemble_arcme
-                L = assemble(p, _ladder(p, method).M)
+                L = assemble(p, _certified(p, method, regime)[1].M)
             ss = steady_state(L)
             trace_def = L.trace_defect()
             norm_def = abs(np.trace(ss.rho).real - 1.0)
@@ -306,7 +303,7 @@ def test_criterion_09_additive_carnot_violation_window():
     rows = []
     for v in _sub_stop_grid():
         pv = p.with_bias(float(v))
-        rows.append((v, _rc_report(pv, "rcme", 2), _rc_report(pv, "arcme", 2)))
+        rows.append((v, _certified(pv, "rcme", 2)[0], _certified(pv, "arcme", 2)[0]))
     for v, rep_r, rep_a in rows:
         fmt = lambda e: "  engine off " if e is None else f"{e:.9f} "
         print(f"V={v:.6f}  eta_rcme={fmt(rep_r.eta)} "
@@ -318,7 +315,7 @@ def test_criterion_09_additive_carnot_violation_window():
     vs_w, vs_a, window = _additive_window()
     print(f"V_S^w={vs_w:.9f}  V_S^arcme={vs_a:.9f}")
     additive = [(v, a) for v, _, a in rows]
-    additive += [(v, _rc_report(p.with_bias(float(v)), "arcme", 2))
+    additive += [(v, _certified(p.with_bias(float(v)), "arcme", 2)[0])
                  for v in window]
     defined = [(v, a.eta) for v, a in additive if a.eta is not None]
     assert len(defined) == len(additive), "additive engine off below V_S^arcme"
@@ -340,7 +337,7 @@ def test_additive_carnot_violation_sits_above_weak_coupling_stop():
     p = WINDOW_PARAMS
     found = []
     for v in COMPANION_GRID:
-        rep = _rc_report(p.with_bias(float(v)), "arcme", 2)
+        rep = _certified(p.with_bias(float(v)), "arcme", 2)[0]
         print(f"V={v:.4f} eta_arcme={rep.eta!r} violated={rep.carnot_violated}")
         if rep.carnot_violated:
             found.append((v, rep.eta))
@@ -350,10 +347,10 @@ def test_additive_carnot_violation_sits_above_weak_coupling_stop():
 
 def test_criterion_10_additive_method_misses_the_blockade(lambda_ladders):
     p = regime_params(1, lam=1000.0)
-    cert_a = _ladder(p, "arcme")
+    cert_a = _certified(p, "arcme", 1)[1]
     cert_r = lambda_ladders[1000.0]
-    print(_describe(("arcme", p), cert_a))
-    print(_describe(("rcme", p), cert_r))
+    print(_describe(("arcme", p, 1), cert_a))
+    print(_describe(("rcme", p, 1), cert_r))
     print(f"I_arcme/I_rcme = {cert_a.value / cert_r.value:.3e}")
     # both walks end honestly unconverged out here (see test 12); the
     # four-orders-of-magnitude gap dwarfs either truncation error
@@ -362,7 +359,7 @@ def test_criterion_10_additive_method_misses_the_blockade(lambda_ladders):
 
 def test_criterion_11_relative_uncertainty_diverges_at_stopping():
     p = regime_params(1, lam=3.0)
-    cert = _ladder(p, "rcme")
+    cert = _certified(p, "rcme", 1)[1]
     vs = stopping_voltage(p, "rcme", M=cert.M)
     ups, pows = [], []
     for dv in (3e-2, 1e-2, 3e-3, 1e-3):

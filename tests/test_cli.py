@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from nanojunction import cli
+from nanojunction import cli, thermo
 from nanojunction.cli import (
     COLUMNS,
     SETTINGS,
@@ -18,6 +18,7 @@ from nanojunction.cli import (
     run_sweep,
 )
 from nanojunction.model import regime_params
+from nanojunction.rc import converge_in_levels
 from nanojunction.thermo import transport_report
 
 
@@ -65,6 +66,7 @@ def test_point_params_routes_the_swept_variable():
     dict(rc=RcSettings(tol=0.0)),
     dict(rc=RcSettings(auto=True, tol=-1.0)),
     dict(model={"beta_R": -1.0}),
+    dict(methods=("rcme",), swept="M", rc=RcSettings(auto=True)),
 ])
 def test_spec_validation_rejects(bad):
     with pytest.raises(ValueError):
@@ -201,6 +203,30 @@ def test_truncation_sweep_reports_each_level(tmp_path):
     assert all(np.isfinite(c1))
 
 
+def test_auto_point_solves_each_ladder_level_once(tmp_path, monkeypatch):
+    """An --rc-auto point builds one generator per ladder level, none after it,
+    and writes the report and verdict of the level its certificate names."""
+    p = regime_params(1, lam=3.0)
+    cert = converge_in_levels(lambda M: transport_report(p, "rcme", 1, M=M).c1)
+    builds = []
+    real_build = thermo.build_generator
+
+    def counting_build(*args, **kwargs):
+        builds.append(args)
+        return real_build(*args, **kwargs)
+
+    monkeypatch.setattr(thermo, "build_generator", counting_build)
+    out = tmp_path / "auto.csv"
+    assert main(["--method", "rcme", "--regime", "1", "--sweep", "lambda",
+                 "--from", "3", "--to", "3", "--points", "1", "--rc-auto",
+                 "--out", str(out)]) == 0
+    assert len(builds) == len(cert.history)
+    cells = dict(zip(COLUMNS, out.read_text().splitlines()[1].split(",")))
+    assert cells["M"] == str(cert.M)
+    assert cells["converged"] == ("true" if cert.converged else "false")
+    assert float(cells["c1"]) == cert.value
+
+
 def test_workers_do_not_change_the_rows():
     spec = _spec(points=3)
     serial, f1 = run_sweep(spec)
@@ -244,6 +270,8 @@ def test_bad_invocations_exit_2(tmp_path, capsys):
     assert main(["--method", "secular", "--regime", "2", "--sweep", "V",
                  "--from", "0", "--to", "1", "--points", "2"]) == 2
     assert main(["--method", "wcme", "--regime", "2", "--sweep", "M",
+                 "--from", "4", "--to", "8", "--points", "2"]) == 2
+    assert main(["--method", "rcme", "--regime", "2", "--sweep", "M", "--rc-auto",
                  "--from", "4", "--to", "8", "--points", "2"]) == 2
     assert main([str(tmp_path / "missing.ini")]) == 2
     bias = ["--method", "rcme", "--regime", "2", "--sweep", "V",

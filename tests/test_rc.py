@@ -22,7 +22,7 @@ from nanojunction.rc import (
 )
 from nanojunction.superop import _CHUNK_BYTES, ConvergenceFailure, assemble, steady_state
 from nanojunction.fcs import mean_current
-from nanojunction.thermo import converge_current
+from nanojunction.thermo import converge_report
 from nanojunction.wcme import assemble_wcme
 
 
@@ -224,9 +224,9 @@ def test_ladder_skips_failing_levels_before_first_success():
 
 
 @pytest.mark.parametrize("method", ["wcme", "bogus"])
-def test_converge_current_rejects_methods_without_a_ladder(method):
+def test_converge_report_rejects_methods_without_a_ladder(method):
     with pytest.raises(ValueError, match=method):
-        converge_current(ModelParams(), method)
+        converge_report(ModelParams(), method, 1)
     with pytest.raises(ValueError, match="rcme"):
         build_generator(ModelParams(), "rcme", M=None)
     with pytest.raises(ValueError, match="bogus"):

@@ -6,6 +6,8 @@ That fixes closed forms for the weak-coupling energy flows, efficiencies and
 stopping voltages which the solver has to hit to near machine precision, and
 it pins the Carnot bound eta_C = 0.9 for both hot-resource configurations.
 """
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from nanojunction.thermo import (
     BracketError,
     bisect_root,
     carnot_efficiency,
-    converge_current,
+    converge_report,
     default_bracket,
     energy_currents,
     stopping_voltage,
@@ -95,7 +97,7 @@ RC_STOPPING = {
 @pytest.mark.parametrize("regime,lam", sorted(RC_STOPPING))
 def test_mode_dressed_stopping_voltages(regime, lam):
     p = regime_params(regime, lam=lam)
-    cert = converge_current(p, "rcme")
+    _, cert = converge_report(p, "rcme", regime)
     assert cert.converged
     vs = stopping_voltage(p, "rcme", M=cert.M)
     assert vs == pytest.approx(RC_STOPPING[(regime, lam)], rel=1e-6)
@@ -103,6 +105,29 @@ def test_mode_dressed_stopping_voltages(regime, lam):
         assert vs >= 0.9 - 1e-9
     else:
         assert vs <= 1.8 + 1e-9
+
+
+def test_certified_report_is_the_level_its_certificate_names(monkeypatch):
+    """After a bounce the certificate names the level before the last, and the
+    report is that level's, as solved, with the verdict; a report that fails
+    with anything but ``ConvergenceFailure`` ends the walk."""
+    base = transport_report(regime_params(1), "wcme", 1)
+    c1 = {10: 1.0, 14: 1.1, 18: 1.11, 22: 1.2}
+    monkeypatch.setattr(thermo, "transport_report",
+                        lambda p, method, regime, M: replace(base, M=M, c1=c1[M]))
+    rep, cert = converge_report(regime_params(1), "rcme", 1, cap=30)
+    assert (cert.M, cert.converged, len(cert.history)) == (18, False, 4)
+    assert "bounce at M=22" in cert.message
+    assert rep == replace(base, M=18, c1=1.11, converged=False)
+
+    def noise_fails_at_14(p, method, regime, M):
+        if M == 14:
+            raise ValueError("zero-frequency noise is negative")
+        return replace(base, M=M, c1=c1[M])
+
+    monkeypatch.setattr(thermo, "transport_report", noise_fails_at_14)
+    with pytest.raises(ValueError, match="noise"):
+        converge_report(regime_params(1), "rcme", 1)
 
 
 def test_additive_method_overshoots_carnot_downhill_of_reversal():
