@@ -8,13 +8,16 @@ transfer come out of term-list applications against the steady state:
     c1 = <J+ - J->,
     c2 = <J+ + J-> - 2 <J R J>,        J = J+ - J-,
 
-with R the pseudo-inverse restricted off the stationary direction.  Currents
+with R the pseudo-inverse restricted off the stationary direction and
+<X> = tr X(rho_ss), every application and trace on d x d matrices.  Currents
 are reported in the transport direction (left lead -> system -> right lead
 positive), so left- and right-counted values agree in steady state.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .superop import Liouvillian, SteadyState, apply_terms, restricted_pseudo_inverse_apply
 
@@ -35,21 +38,19 @@ def _transport_sign(side: str) -> float:
 def mean_current(L: Liouvillian, ss: SteadyState, side: str = "right") -> float:
     """Mean particle current through the given lead, transport-positive."""
     tp, tm = _jumps(L, side)
-    t = L.space.trace_vec
-    jp = t @ apply_terms(tp, L.space, ss.vec)
-    jm = t @ apply_terms(tm, L.space, ss.vec)
+    jp = np.trace(apply_terms(tp, ss.rho))
+    jm = np.trace(apply_terms(tm, ss.rho))
     return _transport_sign(side) * float((jp - jm).real)
 
 
 def zero_frequency_noise(L: Liouvillian, ss: SteadyState, side: str = "right") -> float:
     """Zero-frequency noise c2 of the counted transfer at the given lead."""
     tp, tm = _jumps(L, side)
-    space, t = L.space, L.space.trace_vec
-    jp = apply_terms(tp, space, ss.vec)
-    jm = apply_terms(tm, space, ss.vec)
-    self_term = (t @ (jp + jm)).real
+    jp = apply_terms(tp, ss.rho)
+    jm = apply_terms(tm, ss.rho)
+    self_term = np.trace(jp + jm).real
     y = restricted_pseudo_inverse_apply(L, ss, jp - jm)
-    corr = (t @ apply_terms(tp, space, y) - t @ apply_terms(tm, space, y)).real
+    corr = (np.trace(apply_terms(tp, y)) - np.trace(apply_terms(tm, y))).real
     return float(self_term - 2.0 * corr)
 
 

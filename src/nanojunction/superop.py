@@ -1,16 +1,18 @@
-"""Superoperator algebra over column-stacked density matrices.
+"""Superoperator algebra: factorized terms, their real bordered LU, solves.
 
 The generators built here conserve electron number and commute with
 rho -> Pi rho Pi (``model.sector_labels``), so the steady state and all traced
-against it live on the blocks rho[S, S] of charge x parity sectors S.
-``Space`` restricts vec(rho) to them (dimension sum_s m_s^2 over sectors of
-size m_s instead of d^2), which keeps dense LU factorizations affordable at
+against it live on the blocks rho[S, S] of charge x parity sectors S.  The
+LU covers only those blocks (dimension n = sum_s m_s^2 over sectors of
+size m_s instead of d^2), which keeps dense factorizations affordable at
 large reaction-coordinate truncations; a single-sector ``Space`` is all d^2.
+Everywhere else rho, and every operator a solve hands back, is a d x d array.
 
 Superoperator terms are stored in factorized form, coef * (A . B), i.e.
 rho -> coef * A @ rho @ B, the generator's only stored form: a
-``Liouvillian`` sums them blockwise, via vec(A rho B) = (B^T kron A) vec(rho),
-straight into its bordered LU buffer; its certificates apply them matrix-free.
+``Liouvillian`` sums them blockwise, via vec(A rho B) = (B^T kron A) vec(rho)
+on column-stacked blocks, straight into its bordered LU buffer; its
+certificates apply them to d x d matrices (``apply_terms``).
 Each m^2 x m^2 sector-pair block gets one contraction over the stacked
 m x m factor blocks of the terms whose factors reach that pair (identity
 factors reach only the diagonal pairs), added in place a few l-slabs at a
@@ -19,10 +21,11 @@ time, so assembly holds one pair's stacked blocks and a slab temporary.
 The generators map Hermitian rho to Hermitian rho, so the buffer and its LU
 are real (float64): each position of ``Space.index`` holds a real coordinate
 of a Hermitian matrix, Re rho_rc at (r, c) for r <= c and Im rho_rc at
-(c, r) for r < c (``Space.to_real`` / ``Space.from_real``).  The diagonal
-keeps its positions, so the trace row and column are unchanged.  Each
-slab's complex product is turned into its real image before the next, and
-a complex right-hand side y = H + iK is solved as its two Hermitian parts.
+(c, r) for r < c (``Space.to_real`` / ``Space.from_real``, the only maps
+between d x d matrices and the LU).  The diagonal keeps its positions, so
+the trace row and column are unchanged.  Each slab's complex product is
+turned into its real image before the next, and a complex right-hand side
+Y = H + iK is solved as its two Hermitian parts.
 
 Importing this module sets NumPy's bundled OpenBLAS to one thread when SciPy
 links its own, so that NumPy's idle workers do not spin on the LU's cores.
@@ -75,14 +78,14 @@ class ConvergenceFailure(Exception):
 
 
 class Space:
-    """Sector-restricted vectorization of d x d matrices.
+    """The map between d x d matrices and the LU's real coordinates.
 
     Parameters
     ----------
     numbers : array_like
         Conserved label per Hilbert basis index (``model.sector_labels``).
-        Basis indices with equal label form a sector; the restricted space
-        keeps exactly the same-sector blocks rho[S, S].
+        Basis indices with equal label form a sector; the coordinates cover
+        exactly the same-sector blocks rho[S, S].
     """
 
     def __init__(self, numbers):
@@ -95,36 +98,30 @@ class Space:
         self.index = np.concatenate([(s[:, None] + d * s).ravel() for s in self.sectors])
         self.n = len(self.index)
         self.trace_vec = (self.index % (d + 1) == 0).astype(float)
-        row, col = np.divmod(self.index, d)
-        pos = np.empty(d * d, dtype=np.intp)
-        pos[self.index] = np.arange(self.n)
-        self._partner = pos[col * d + row]   # position of the transposed entry
-        self._side = np.sign(col - row)      # +1 above the diagonal, -1 below, 0 on it
+        self._upper = self.index // d <= self.index % d   # on or above the diagonal
 
-    def vec(self, rho: np.ndarray) -> np.ndarray:
-        """Restrict and column-stack a d x d matrix."""
-        return rho.reshape(-1)[self.index].astype(complex, copy=False)
+    def to_real(self, X: np.ndarray) -> np.ndarray:
+        """Real coordinates of the Hermitian part H = (X + X^dag) / 2 of a d x d X.
 
-    def devec(self, x: np.ndarray) -> np.ndarray:
-        """Inverse of ``vec``; unrestricted blocks are zero."""
-        rho = np.zeros(self.dim * self.dim, dtype=complex)
-        rho[self.index] = x
-        return rho.reshape(self.dim, self.dim)
-
-    def to_real(self, x: np.ndarray) -> np.ndarray:
-        """Real coordinates of (X + X^dag) / 2, X the matrix with restricted vector x.
-
-        For a Hermitian X that is X itself, bit for bit; for any X it is
-        ``to_real(x)`` and ``to_real(-1j * x)`` that ``from_real`` maps back
-        to the Hermitian H and K of X = H + iK.
+        Re H_rc at (r, c) for r <= c and Im H_rc at (c, r) for r < c; blocks
+        off the sectors are dropped.  For a Hermitian X that is X itself, and
+        ``to_real(-1j * X)`` gives the K of X = H + iK.
         """
-        xp = x[self._partner]
-        return np.where(self._side >= 0, 0.5 * (x.real + xp.real), 0.5 * (xp.imag - x.imag))
+        x, xt = X.take(self.index), X.T.take(self.index)   # X_rc and X_cr
+        return np.where(self._upper, 0.5 * (x.real + xt.real), 0.5 * (xt.imag - x.imag))
 
     def from_real(self, y: np.ndarray) -> np.ndarray:
-        """Restricted vector of the Hermitian matrix with real coordinates y."""
-        yp = y[self._partner]
-        return np.where(self._side >= 0, y + 1j * self._side * yp, yp - 1j * y)
+        """The d x d Hermitian matrix with real coordinates y, zero off the sectors."""
+        d = self.dim
+        Y = np.zeros(d * d)
+        Y[self.index] = y
+        Y = Y.reshape(d, d)
+        low = np.tril(Y, -1)   # Im of the entries above the diagonal, transposed
+        up = Y - low
+        X = np.empty((d, d), dtype=complex)
+        X.real = up + np.triu(up, 1).T
+        X.imag = low.T - low
+        return X
 
 
 @dataclass
@@ -154,21 +151,17 @@ class TaggedTerm:
         return self.coef * out
 
 
-def assemble(space: Space, terms, out: np.ndarray | None = None) -> np.ndarray:
-    """Sum the factorized terms into a dense restricted superoperator.
+def assemble(space: Space, terms, out: np.ndarray) -> np.ndarray:
+    """Add the factorized terms, in real coordinates, into a float64 buffer.
 
-    Returns a fresh complex Fortran-ordered n x n array, or adds the sum into
-    the leading n x n block of ``out`` (Fortran-ordered, so that its transpose
-    is written row by row).  A float64 ``out`` receives it in real
-    coordinates instead, ``to_real`` of its action on ``from_real`` when the
-    terms preserve Hermiticity (its rows read the entries of the image on
-    and above the diagonal).  Each sector-pair block gets one contraction
-    over the stacked factor blocks of the terms that reach it, a few
-    l-slabs at a time; entries are summed in the BLAS kernel's order.
+    ``out`` is Fortran-ordered (so that its transpose is written row by row)
+    and receives, in its leading n x n block, ``to_real`` of the terms'
+    action on ``from_real`` when they preserve Hermiticity (its rows read
+    the entries of the image on and above the diagonal).  Each sector-pair
+    block gets one contraction over the stacked factor blocks of the terms
+    that reach it, a few l-slabs at a time; entries are summed in the BLAS
+    kernel's order.
     """
-    if out is None:
-        out = np.zeros((space.n, space.n), dtype=complex, order="F")
-    real = not np.iscomplexobj(out)
     d, nsec = space.dim, len(space.sectors)
     onehot = np.zeros((nsec, d))
     onehot[space.sector_id, np.arange(d)] = 1.0
@@ -197,14 +190,10 @@ def assemble(space: Space, terms, out: np.ndarray | None = None) -> np.ndarray:
             Bs = np.stack([t.coef * (eye if t.right is None else t.right).reshape(-1).take(ca)
                            for t in hit]).reshape(-1, mc, ma)
             blk = LT[offc : offc + mc * mc, offa : offa + ma * ma].reshape(mc, mc, ma, ma)
-            # whole l-slabs per contraction; a real one also holds two real images
-            nl = max(1, _CHUNK_BYTES // ((32 if real else 16) * mc * ma * ma))
+            # whole l-slabs per contraction, each with its two real images
+            nl = max(1, _CHUNK_BYTES // (32 * mc * ma * ma))
             for l0 in range(0, mc, nl):
-                ls = slice(l0, l0 + nl)
-                if real:
-                    _add_real_slab(blk, Bs[:, ls], As, l0)
-                else:
-                    blk[ls] += np.tensordot(Bs[:, ls], As, (0, 0)).transpose(0, 3, 1, 2)
+                _add_real_slab(blk, Bs[:, l0 : l0 + nl], As, l0)
     return out
 
 
@@ -252,13 +241,12 @@ def _add_real_slab(blk: np.ndarray, Bs: np.ndarray, As: np.ndarray, l0: int) -> 
     np.subtract(other, zh, out=other, where=down)
 
 
-def apply_terms(terms, space: Space, x: np.ndarray) -> np.ndarray:
-    """Apply a list of factorized terms to a restricted vector (matrix-free)."""
-    rho = space.devec(x)
-    out = np.zeros_like(rho)
+def apply_terms(terms, rho: np.ndarray) -> np.ndarray:
+    """Apply a list of factorized terms to a d x d matrix (matrix-free)."""
+    out = np.zeros(rho.shape, dtype=complex)
     for t in terms:
         out += t.apply(rho)
-    return space.vec(out)
+    return out
 
 
 def coherent_terms(H: np.ndarray):
@@ -298,12 +286,13 @@ class Liouvillian:
     def trace_defect(self) -> float:
         """Infinity norm of the trace functional acting from the left, 1^dag L.
 
-        tr(A rho B) = tr(B A rho), so 1^dag L = vec(K^T) with K = sum coef B A,
-        the terms with their factors swapped applied to the identity.
+        tr(A rho B) = tr(B A rho), so tr L(rho) = tr(K rho) with K = sum coef B A,
+        the terms with their factors swapped applied to the identity; the
+        functional is K^T read on the kept blocks.
         """
         eye = np.eye(self.space.dim, dtype=complex)
         K = sum(TaggedTerm(t.coef, t.right, t.left).apply(eye) for t in self.terms)
-        return float(np.max(np.abs(self.space.vec(K.T))))
+        return float(np.max(np.abs(K.T.take(self.space.index))))
 
     def bordered_lu(self):
         """Real LU of [[L, t^T], [t, 0]]; shared by steady state and pseudo-inverse."""
@@ -325,45 +314,42 @@ class SteadyState:
     """Normalized stationary density matrix with its solve certificate."""
 
     rho: np.ndarray
-    vec: np.ndarray
     residual: float
     min_population: float
 
 
-def _bordered_solve(L: Liouvillian, y, trace: float, error: type) -> np.ndarray:
-    """x from [[L, t^T], [t, 0]] [x; s] = [y; trace], with the cached real LU.
+def _bordered_solve(L: Liouvillian, Y: np.ndarray, trace: float, error: type) -> np.ndarray:
+    """X from [[L, t^T], [t, 0]] [X; s] = [Y; trace], with the cached real LU.
 
-    y = H + iK with H and K Hermitian; each is solved in real coordinates
-    (one column each, skipped when zero), so any complex y is answered.
+    Y = H + iK with H and K Hermitian; each is solved in real coordinates
+    (one column each, skipped when zero), so any complex d x d Y is answered.
     """
     lu, sp = L.bordered_lu(), L.space
-    y = np.broadcast_to(np.asarray(y, dtype=complex), (sp.n,))
-    x = np.zeros(sp.n, dtype=complex)
-    for unit, part, tr in ((1.0, y, trace), (1j, -1j * y, 0.0)):
+    X = np.zeros((sp.dim, sp.dim), dtype=complex)
+    for unit, part, tr in ((1.0, Y, trace), (1j, -1j * Y, 0.0)):
         rhs = np.append(sp.to_real(part), tr)
         if rhs.any():
-            x += unit * sp.from_real(sla.lu_solve(lu, rhs, check_finite=False)[:-1])
-    if not np.all(np.isfinite(x)):
+            X += unit * sp.from_real(sla.lu_solve(lu, rhs, check_finite=False)[:-1])
+    if not np.all(np.isfinite(X)):
         raise error("bordered solve returned non-finite entries")
-    return x
+    return X
 
 
 def steady_state(L: Liouvillian, tol: float = 1e-9) -> SteadyState:
-    """Solve L vec(rho) = 0 with unit trace via the bordered system.
+    """Solve L(rho) = 0 with unit trace via the bordered system.
 
     Raises ``NonUniqueSteadyState`` when the stationary direction is
     degenerate and ``ConvergenceFailure`` when the residual certificate
-    ``max|L vec(rho)|`` (L applied from its terms) exceeds ``tol`` or
+    ``max|L(rho)|`` (L applied from its terms) exceeds ``tol`` or
     populations go below -1e-3.
     """
-    x = _bordered_solve(L, 0.0, 1.0, NonUniqueSteadyState)
-    rho = L.space.devec(x)   # Hermitian by construction
+    d = L.space.dim
+    rho = _bordered_solve(L, np.zeros((d, d)), 1.0, NonUniqueSteadyState)   # Hermitian
     tr = np.trace(rho).real
     if abs(tr) < 1e-300:
         raise ConvergenceFailure("steady-state trace vanished")
     rho /= tr
-    x = L.space.vec(rho)
-    residual = float(np.max(np.abs(apply_terms(L.terms, L.space, x))))
+    residual = float(np.max(np.abs(apply_terms(L.terms, rho))))
     if residual > tol:
         raise ConvergenceFailure(f"steady-state residual {residual:.3e} > tol {tol:.1e}")
     pops = np.diag(rho).real
@@ -379,15 +365,15 @@ def steady_state(L: Liouvillian, tol: float = 1e-9) -> SteadyState:
         raise ConvergenceFailure(f"steady-state population {minpop:.3e} below -1e-3")
     if minpop < -1e-10:
         warnings.warn(f"slightly negative steady-state population {minpop:.3e}")
-    return SteadyState(rho=rho, vec=x, residual=residual, min_population=minpop)
+    return SteadyState(rho=rho, residual=residual, min_population=minpop)
 
 
-def restricted_pseudo_inverse_apply(L: Liouvillian, ss: SteadyState, y: np.ndarray) -> np.ndarray:
-    """Apply R = Q L^{-1} Q to a restricted vector.
+def restricted_pseudo_inverse_apply(L: Liouvillian, ss: SteadyState, Y: np.ndarray) -> np.ndarray:
+    """Apply R = Q L^{-1} Q to a d x d matrix, read on the kept blocks.
 
-    Q projects out the stationary direction: Q y = y - vec(rho_ss) (1^dag y).
-    The solve reuses the bordered LU; the trace row pins 1^dag (R y) = 0.
+    Q projects out the stationary direction: Q Y = Y - rho_ss tr Y.
+    The solve reuses the bordered LU; the trace row pins tr(R Y) = 0.
     """
-    t = L.space.trace_vec
-    x = _bordered_solve(L, y - ss.vec * (t @ y), 0.0, ConvergenceFailure)
-    return x - ss.vec * (t @ x)
+    rho = ss.rho
+    X = _bordered_solve(L, Y - rho * np.trace(Y), 0.0, ConvergenceFailure)
+    return X - rho * np.trace(X)

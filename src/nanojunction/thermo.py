@@ -33,8 +33,7 @@ class BracketError(Exception):
 
 def bath_energy_current(L: Liouvillian, ss: SteadyState, bath: str) -> float:
     """Energy current into the system from one environment, tr(E D_bath rho)."""
-    dv = apply_terms(L.bath(bath), L.space, ss.vec)
-    drho = L.space.devec(dv)
+    drho = apply_terms(L.bath(bath), ss.rho)
     return float(np.trace(L.energy_op @ drho).real)
 
 

@@ -16,7 +16,8 @@ import numpy as np
 import scipy.linalg as sla
 
 from nanojunction.fcs import _jumps, _transport_sign
-from nanojunction.superop import Liouvillian, SteadyState, assemble, steady_state
+from nanojunction.superop import Liouvillian, SteadyState, steady_state
+from reference import dense, vec
 
 
 class OracleError(Exception):
@@ -68,14 +69,14 @@ def counting_field_oracle(L: Liouvillian, ss: SteadyState | None = None,
     if ss is None:
         ss = steady_state(L)
     plus, minus = _jumps(L, side)
-    L0 = assemble(L.space, L.terms)
-    Ip = assemble(L.space, plus)
-    Im = assemble(L.space, minus)
-    t = L.space.trace_vec.astype(complex)
+    L0 = dense(L.space, L.terms)
+    Ip = dense(L.space, plus)
+    Im = dense(L.space, minus)
+    v0, t = vec(L.space, ss.rho), L.space.trace_vec.astype(complex)
     g = {}
     for chi in (h, -h, h / 2, -h / 2):
         Lx = L0 + (np.exp(1j * chi) - 1.0) * Ip + (np.exp(-1j * chi) - 1.0) * Im
-        g[chi] = _eigenvalue_slope(Lx, Ip, Im, chi, ss.vec, t, iterations)
+        g[chi] = _eigenvalue_slope(Lx, Ip, Im, chi, v0, t, iterations)
     c1_h = 0.5 * (g[h] + g[-h]).real
     c1_h2 = 0.5 * (g[h / 2] + g[-h / 2]).real
     c2_h = (g[h] - g[-h]).imag / (2.0 * h)

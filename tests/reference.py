@@ -1,0 +1,44 @@
+"""Complex restricted coordinates for the tests: vec, devec and the dense generator.
+
+``vec`` column-stacks the kept blocks rho[S, S] of a d x d matrix in the
+order of ``Space.index``, ``devec`` undoes it with zeros off the blocks, and
+``dense`` is the complex n x n matrix of a term list in those coordinates,
+every sector-pair block summed as one full kron(B, A^T) per term.  The
+package itself never forms either: it keeps rho as a d x d array and the
+generator in real coordinates.
+"""
+import numpy as np
+
+
+def vec(space, rho: np.ndarray) -> np.ndarray:
+    """Restrict and column-stack a d x d matrix."""
+    return rho.reshape(-1)[space.index].astype(complex, copy=False)
+
+
+def devec(space, x: np.ndarray) -> np.ndarray:
+    """Inverse of ``vec``; unrestricted blocks are zero."""
+    rho = np.zeros(space.dim * space.dim, dtype=complex)
+    rho[space.index] = x
+    return rho.reshape(space.dim, space.dim)
+
+
+def dense(space, terms) -> np.ndarray:
+    """Dense per-term assembly: every sector-pair block as one full kron(B, A^T)."""
+    out = np.zeros((space.n, space.n), dtype=complex, order="F")
+    LT = out.T
+    eye = np.eye(space.dim, dtype=complex)
+    for t in terms:
+        A = eye if t.left is None else t.left
+        B = eye if t.right is None else t.right
+        for sa, offa in zip(space.sectors, space.offsets):
+            ma = len(sa)
+            for sc, offc in zip(space.sectors, space.offsets):
+                mc = len(sc)
+                Ablk = A[np.ix_(sa, sc)]
+                Bblk = B[np.ix_(sc, sa)]
+                if not (Ablk.any() and Bblk.any()):
+                    continue
+                blk = np.multiply(Bblk[:, None, :, None], Ablk.T[None, :, None, :], order="C")
+                blk *= t.coef
+                LT[offc : offc + mc * mc, offa : offa + ma * ma] += blk.reshape(mc * mc, ma * ma)
+    return out

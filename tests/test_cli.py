@@ -1,5 +1,6 @@
 """Sweep driver: config resolution, CSV/manifest output, exit codes."""
 import configparser
+import inspect
 import json
 import re
 
@@ -225,6 +226,15 @@ def test_auto_point_solves_each_ladder_level_once(tmp_path, monkeypatch):
     assert cells["M"] == str(cert.M)
     assert cells["converged"] == ("true" if cert.converged else "false")
     assert float(cells["c1"]) == cert.value
+
+
+def test_ladder_defaults_match_converge_in_levels():
+    """``RcSettings`` restates the ladder's defaults; the two must not drift apart."""
+    ladder = {name: par.default
+              for name, par in inspect.signature(converge_in_levels).parameters.items()
+              if par.default is not inspect.Parameter.empty}
+    assert sorted(ladder) == ["cap", "start", "step", "tol"]
+    assert {name: getattr(RcSettings(), name) for name in ladder} == ladder
 
 
 def test_workers_do_not_change_the_rows():

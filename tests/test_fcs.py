@@ -18,8 +18,9 @@ from nanojunction.fcs import (
 )
 from nanojunction.model import ModelParams, regime_params
 from nanojunction.rc import assemble_arcme, assemble_rcme
-from nanojunction.superop import Liouvillian, Space, assemble, coherent_terms, steady_state
+from nanojunction.superop import Liouvillian, Space, coherent_terms, steady_state
 from nanojunction.wcme import assemble_wcme, build_wcme_lead_dissipator
+from reference import dense
 
 
 def _single_level(gamma_left, gamma_right):
@@ -65,7 +66,7 @@ def test_both_leads_count_the_same_current():
 
 def test_generator_spectrum_has_simple_zero():
     L = assemble_wcme(regime_params(1, mu_R=0.1))
-    ev = np.linalg.eigvals(assemble(L.space, L.terms))
+    ev = np.linalg.eigvals(dense(L.space, L.terms))
     assert ev.real.max() < 1e-12
     assert np.count_nonzero(np.abs(ev) < 1e-10) == 1
 

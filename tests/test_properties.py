@@ -31,20 +31,20 @@ from nanojunction import Liouvillian, Space
 from nanojunction import energy_currents, mean_current, regime_params, steady_state
 from nanojunction.model import sector_labels
 from nanojunction.rc import METHODS
-from nanojunction.superop import assemble
+from reference import dense, devec, vec
 
 M = 6
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=40)
 COULOMB = st.sampled_from([math.inf, 1e3])   # three states, four states
 
 
-def _hermiticity_defect(L, dense) -> float:
+def _hermiticity_defect(L, gen) -> float:
     """max |Y - Y^dag| for Y = L(X), X a fixed random Hermitian matrix."""
     rng = np.random.default_rng(0)
     d = L.space.dim
     X = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    X = L.space.devec(L.space.vec(X + X.conj().T))
-    Y = L.space.devec(dense @ L.space.vec(X))
+    X = devec(L.space, vec(L.space, X + X.conj().T))
+    Y = devec(L.space, gen @ vec(L.space, X))
     return float(np.max(np.abs(Y - Y.conj().T)) / np.max(np.abs(X)))
 
 
@@ -82,10 +82,10 @@ def test_invariants_hold_at_random_points(method, regime, lam, V, Gamma_L, U):
     p = regime_params(regime, lam=lam, Gamma_L=Gamma_L, U=U).with_bias(V)
     L = build_generator(p, method, M)
     ss = steady_state(L)
-    dense = assemble(L.space, L.terms)
-    scale = float(np.max(np.abs(dense)))
+    gen = dense(L.space, L.terms)
+    scale = float(np.max(np.abs(gen)))
     assert L.trace_defect() <= 1e-13 * scale
-    assert _hermiticity_defect(L, dense) <= 1e-13 * scale
+    assert _hermiticity_defect(L, gen) <= 1e-13 * scale
     assert cumulants(L, ss).c2 >= 0.0
     assert _parity_holds(L, ss, sector_labels(p, 1 if method == "wcme" else M))
     left, right = mean_current(L, ss, "left"), mean_current(L, ss, "right")

@@ -20,10 +20,11 @@ from nanojunction.rc import (
     ladder_op,
     residual_density,
 )
-from nanojunction.superop import _CHUNK_BYTES, ConvergenceFailure, assemble, steady_state
+from nanojunction.superop import _CHUNK_BYTES, ConvergenceFailure, steady_state
 from nanojunction.fcs import mean_current
 from nanojunction.thermo import converge_report
 from nanojunction.wcme import assemble_wcme
+from reference import dense
 
 
 def test_mapping_reproduces_reorganization_energy():
@@ -97,7 +98,7 @@ def test_single_fock_level_reduces_to_weak_coupling():
     p = ModelParams(lam=0.0)
     L_rc = assemble_rcme(p, 1)
     L_w = assemble_wcme(p)
-    assert np.max(np.abs(assemble(L_rc.space, L_rc.terms) - assemble(L_w.space, L_w.terms))) < 1e-12
+    assert np.max(np.abs(dense(L_rc.space, L_rc.terms) - dense(L_w.space, L_w.terms))) < 1e-12
 
 
 @pytest.mark.parametrize("build", [assemble_rcme, assemble_arcme])
@@ -149,10 +150,10 @@ def test_equilibrium_carries_no_current():
 def test_tag_partition_reassembles_generator():
     for build in (assemble_rcme, assemble_arcme):
         L = build(regime_params(2), 6)
-        full = assemble(L.space, L.terms)
+        full = dense(L.space, L.terms)
         total = np.zeros_like(full)
         for key in itertools.product(("coherent", "left", "right", "phonon"), (-1, 0, 1)):
-            total += assemble(L.space, [t for t in L.terms if (t.bath, t.jump) == key])
+            total += dense(L.space, [t for t in L.terms if (t.bath, t.jump) == key])
         assert np.allclose(total, full, atol=1e-12)
         for t in L.terms:
             if t.jump != 0:

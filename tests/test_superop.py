@@ -1,4 +1,4 @@
-"""Vectorization, blockwise assembly and the steady-state solve certificate."""
+"""Real coordinates, blockwise assembly and the steady-state solve certificate."""
 import ctypes
 import json
 import os
@@ -26,6 +26,7 @@ from nanojunction.superop import (
     restricted_pseudo_inverse_apply,
     steady_state,
 )
+from reference import dense, devec, vec
 
 
 def _lindblad_terms(c):
@@ -47,69 +48,71 @@ def _random_ergodic(rng, d):
     return Liouvillian(space=Space(np.zeros(d)), terms=terms, energy_op=H)
 
 
-def test_vec_roundtrip_full_space():
-    rng = np.random.default_rng(0)
-    sp = Space(np.zeros(5))
-    rho = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-    assert np.allclose(sp.devec(sp.vec(rho)), rho)
-    assert sp.n == 25
-
-
-def test_vec_roundtrip_charge_sectors():
-    sp = Space([0, 1, 1, 2])
-    assert sp.n == 1 + 4 + 1
-    rng = np.random.default_rng(1)
-    rho = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    back = sp.devec(sp.vec(rho))
-    # same-charge blocks survive, the rest is projected away
-    assert back[0, 0] == rho[0, 0]
-    assert np.allclose(back[1:3, 1:3], rho[1:3, 1:3])
-    assert back[0, 1] == 0.0 and back[3, 0] == 0.0
-    assert sp.trace_vec @ sp.vec(rho) == pytest.approx(np.trace(rho))
-
-
-def _kron_reference(space, terms):
-    """Dense per-term assembly: every sector-pair block as one full kron(B, A^T)."""
-    out = np.zeros((space.n, space.n), dtype=complex, order="F")
-    LT = out.T
-    eye = np.eye(space.dim, dtype=complex)
-    for t in terms:
-        A = eye if t.left is None else t.left
-        B = eye if t.right is None else t.right
-        for sa, offa in zip(space.sectors, space.offsets):
-            ma = len(sa)
-            for sc, offc in zip(space.sectors, space.offsets):
-                mc = len(sc)
-                Ablk = A[np.ix_(sa, sc)]
-                Bblk = B[np.ix_(sc, sa)]
-                if not (Ablk.any() and Bblk.any()):
-                    continue
-                blk = np.multiply(Bblk[:, None, :, None], Ablk.T[None, :, None, :], order="C")
-                blk *= t.coef
-                LT[offc : offc + mc * mc, offa : offa + ma * ma] += blk.reshape(mc * mc, ma * ma)
-    return out
-
-
 def _random_matrix(rng, d):
     return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
 
 
+def _random_hermitian(rng, d):
+    X = _random_matrix(rng, d)
+    return X + X.conj().T
+
+
+def test_real_coordinates_roundtrip_full_space():
+    rng = np.random.default_rng(0)
+    sp = Space(np.zeros(5))
+    assert sp.n == 25
+    H = _random_hermitian(rng, 5)
+    assert np.array_equal(sp.from_real(sp.to_real(H)), H)
+
+
+def test_real_coordinates_roundtrip_charge_sectors():
+    sp = Space([0, 1, 1, 2])
+    assert sp.n == 1 + 4 + 1
+    rng = np.random.default_rng(1)
+    H = _random_hermitian(rng, 4)
+    back = sp.from_real(sp.to_real(H))
+    # same-charge blocks survive bit for bit, the rest is projected away
+    assert back[0, 0] == H[0, 0] and back[3, 3] == H[3, 3]
+    assert np.array_equal(back[1:3, 1:3], H[1:3, 1:3])
+    assert not back[0, 1:].any() and not back[3, :3].any() and not back[1:3, [0, 3]].any()
+    assert np.array_equal(sp.from_real(sp.to_real(back)), back)
+    assert sp.trace_vec @ sp.to_real(H) == pytest.approx(np.trace(H).real, abs=1e-14)
+
+
+def _with_adjoints(terms):
+    """Each term followed by its adjoint, rho -> conj(c) B^dag rho A^dag."""
+    def dag(X):
+        return None if X is None else X.conj().T
+    return [u for t in terms
+            for u in (t, TaggedTerm(np.conj(t.coef), left=dag(t.right), right=dag(t.left)))]
+
+
+def _real_generator(space, terms):
+    """The n x n float64 block that ``assemble`` fills."""
+    return assemble(space, terms, np.zeros((space.n, space.n), order="F"))
+
+
 def test_term_block_matches_sandwich():
+    """A term paired with its adjoint (conj(c), B^dag, A^dag) keeps rho Hermitian;
+    the real buffer applied to y is to_real of the pair's sandwich of from_real(y)."""
     rng = np.random.default_rng(2)
     sp = Space(np.zeros(4))
     for left, right in [(True, True), (True, False), (False, True)] * 20:
         A = _random_matrix(rng, 4) if left else None
         B = _random_matrix(rng, 4) if right else None
-        rho = _random_matrix(rng, 4)
-        t = TaggedTerm(0.7 - 0.2j, left=A, right=B)
-        assert np.allclose(sp.devec(assemble(sp, [t]) @ sp.vec(rho)), t.apply(rho))
+        pair = _with_adjoints([TaggedTerm(0.7 - 0.2j, left=A, right=B)])
+        y = rng.normal(size=sp.n)
+        X = sp.from_real(y)
+        expected = sp.to_real(sum(t.apply(X) for t in pair))
+        assert np.allclose(_real_generator(sp, pair) @ y, expected, rtol=0, atol=1e-13)
 
 
 def test_assembly_matches_full_kron_blocks(monkeypatch):
-    """Stacked per-pair contractions, on sectors not contiguous in the basis,
-    give the dense per-term kron blocks up to the order of summation: terms
-    that do not reach a sector pair (block-sparse or zero factors) are
-    skipped, and one-sided terms reach only the diagonal pairs."""
+    """Stacked per-pair contractions turned into real l-slabs, on sectors not
+    contiguous in the basis, give T dense T^-1 of the per-term kron blocks up
+    to the order of summation: terms that do not reach a sector pair
+    (block-sparse or zero factors) are skipped, and one-sided terms reach
+    only the diagonal pairs."""
     rng = np.random.default_rng(9)
     sp = Space([0, 1, 1, 2, 1, 0])
     lower = np.zeros((6, 6), dtype=complex)   # lowers the charge by one
@@ -118,35 +121,41 @@ def test_assembly_matches_full_kron_blocks(monkeypatch):
     lower[1, 3] = 0.9j
     lower[4, 3] = 0.2
     lower[0, 4] = 0.7
-    terms = [TaggedTerm(0.3 - 0.1j),
-             TaggedTerm(-0.7j, left=_random_matrix(rng, 6)),
-             TaggedTerm(1.1, right=_random_matrix(rng, 6)),
-             TaggedTerm(0.4 + 0.9j, left=_random_matrix(rng, 6), right=_random_matrix(rng, 6)),
-             TaggedTerm(-2.0, left=_random_matrix(rng, 6)),
-             TaggedTerm(1.0, left=lower, right=lower.conj().T),
-             TaggedTerm(1.0, left=_random_matrix(rng, 6), right=_random_matrix(rng, 6)),
-             TaggedTerm(0.5j, right=_random_matrix(rng, 6)),
-             TaggedTerm(0.8, left=np.zeros((6, 6), dtype=complex),
-                        right=_random_matrix(rng, 6)),
-             TaggedTerm(-1.0, left=_random_matrix(rng, 6), right=_random_matrix(rng, 6)),
-             TaggedTerm(-0.35, left=_random_matrix(rng, 6), right=_random_matrix(rng, 6))]
-    ref = _kron_reference(sp, terms)
+    terms = _with_adjoints([
+        TaggedTerm(0.3 - 0.1j),
+        TaggedTerm(-0.7j, left=_random_matrix(rng, 6)),
+        TaggedTerm(1.1, right=_random_matrix(rng, 6)),
+        TaggedTerm(0.4 + 0.9j, left=_random_matrix(rng, 6), right=_random_matrix(rng, 6)),
+        TaggedTerm(-2.0, left=_random_matrix(rng, 6)),
+        TaggedTerm(1.0, left=lower, right=lower.conj().T),
+        TaggedTerm(1.0, left=_random_matrix(rng, 6), right=_random_matrix(rng, 6)),
+        TaggedTerm(0.5j, right=_random_matrix(rng, 6)),
+        TaggedTerm(0.8, left=np.zeros((6, 6), dtype=complex), right=_random_matrix(rng, 6)),
+        TaggedTerm(-1.0, left=_random_matrix(rng, 6), right=_random_matrix(rng, 6)),
+        TaggedTerm(-0.35, left=_random_matrix(rng, 6), right=_random_matrix(rng, 6))])
     L = assemble_rcme(regime_params(1, lam=1000.0), 6)
-    L_ref = _kron_reference(L.space, L.terms)
+
+    def expected(space, terms):
+        T = _hermitian_coordinates(space)
+        full = T @ dense(space, terms) @ np.linalg.inv(T)
+        assert np.max(np.abs(full.imag)) <= 1e-13 * np.max(np.abs(full))
+        return full.real
 
     def close(a, b):
-        return np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b))
+        return np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
 
-    # besides the default, tiny chunks: one l-slab each, and several whole
-    # slabs with a partial last one
-    for chunk_bytes in (superop._CHUNK_BYTES, 48, 96, 288):
+    ref, L_ref = expected(sp, terms), expected(L.space, L.terms)
+    # besides the default, tiny chunks: one l-slab each (48, 96, 288), slabs
+    # of two with a partial last one (192, the 3-index sector of the toy
+    # space) and whole slabs of two (3456, RCME's 6-index sectors)
+    for chunk_bytes in (superop._CHUNK_BYTES, 48, 96, 192, 288, 3456):
         monkeypatch.setattr(superop, "_CHUNK_BYTES", chunk_bytes)
-        assert close(assemble(sp, terms), ref)
+        assert close(_real_generator(sp, terms), ref)
         # the rest of the terms is added into a partial sum
-        out = assemble(sp, terms[:4])
-        assert assemble(sp, terms[4:], out) is out
+        out = _real_generator(sp, terms[:7])
+        assert assemble(sp, terms[7:], out) is out
         assert close(out, ref)
-        assert close(assemble(L.space, L.terms), L_ref)
+        assert close(_real_generator(L.space, L.terms), L_ref)
 
 
 def test_sector_assembly_matches_full_space():
@@ -163,10 +172,9 @@ def test_sector_assembly_matches_full_space():
     terms = [TaggedTerm(1.0, left=lower, right=lower.conj().T),
              TaggedTerm(-0.5, left=lower.conj().T @ lower),
              TaggedTerm(-0.5, right=lower.conj().T @ lower)]
-    rho = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    rho = sp.devec(sp.vec(rho))  # keep only the allowed blocks
-    y_full = full.devec(assemble(full, terms) @ full.vec(rho))
-    y_restr = sp.devec(assemble(sp, terms) @ sp.vec(rho))
+    rho = sp.from_real(sp.to_real(_random_hermitian(rng, 4)))  # only the allowed blocks
+    y_full = full.from_real(_real_generator(full, terms) @ full.to_real(rho))
+    y_restr = sp.from_real(_real_generator(sp, terms) @ sp.to_real(rho))
     assert np.allclose(y_restr, y_full, atol=1e-13)
 
 
@@ -192,19 +200,17 @@ def test_real_coordinates_of_hermitian_matrices():
     sp = Space([0, 1, 1, 2, 1, 0])
     T = _hermitian_coordinates(sp)
     for _ in range(5):
-        X = _random_matrix(rng, 6)
-        x = sp.vec(X + X.conj().T)
-        y = sp.to_real(x)
-        assert np.allclose(T @ x, y, rtol=0, atol=1e-15)
-        assert np.array_equal(sp.from_real(y), x)
-        assert sp.trace_vec @ y == pytest.approx((sp.trace_vec @ x).real, abs=1e-14)
+        H = _random_hermitian(rng, 6)
+        y = sp.to_real(H)
+        assert np.allclose(T @ vec(sp, H), y, rtol=0, atol=1e-15)
+        assert np.array_equal(sp.from_real(y), devec(sp, vec(sp, H)))
     y = rng.normal(size=sp.n)
-    assert np.allclose(sp.from_real(y), np.linalg.solve(T, y), rtol=0, atol=1e-14)
+    assert np.allclose(vec(sp, sp.from_real(y)), np.linalg.solve(T, y), rtol=0, atol=1e-14)
     # any matrix is H + iK, both Hermitian, through the same two maps
-    x = sp.vec(_random_matrix(rng, 6))
-    H, K = sp.devec(sp.from_real(sp.to_real(x))), sp.devec(sp.from_real(sp.to_real(-1j * x)))
+    X = _random_matrix(rng, 6)
+    H, K = sp.from_real(sp.to_real(X)), sp.from_real(sp.to_real(-1j * X))
     assert np.array_equal(H, H.conj().T) and np.array_equal(K, K.conj().T)
-    assert np.allclose(sp.vec(H + 1j * K), x, rtol=0, atol=1e-15)
+    assert np.allclose(H + 1j * K, devec(sp, vec(sp, X)), rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("U", [np.inf, 0.8])
@@ -215,9 +221,9 @@ def test_real_bordered_block_is_the_generator_in_hermitian_coordinates(method, U
     L = build_generator(regime_params(1, lam=30.0, U=U), method, 4)
     n = L.space.n
     T = _hermitian_coordinates(L.space)
-    dense = assemble(L.space, L.terms)
-    expected = T @ dense @ np.linalg.inv(T)
-    scale = np.max(np.abs(dense))
+    gen = dense(L.space, L.terms)
+    expected = T @ gen @ np.linalg.inv(T)
+    scale = np.max(np.abs(gen))
     assert L._bordered.dtype == np.float64 and L._bordered.flags.f_contiguous
     assert np.max(np.abs(expected.imag)) <= 1e-13 * scale
     assert np.max(np.abs(L._bordered[:n, :n] - expected.real)) <= 1e-13 * scale
@@ -292,29 +298,24 @@ def test_pseudo_inverse_contract():
     rng = np.random.default_rng(5)
     L = _random_ergodic(rng, 4)
     ss = steady_state(L)
-    t = L.space.trace_vec
-    dense = assemble(L.space, L.terms)
+    gen = dense(L.space, L.terms)
     for _ in range(10):
-        y = rng.normal(size=L.space.n) + 1j * rng.normal(size=L.space.n)
-        r = restricted_pseudo_inverse_apply(L, ss, y)
-        qy = y - ss.vec * (t @ y)
-        assert np.max(np.abs(dense @ r - qy)) < 1e-9
-        assert abs(t @ r) < 1e-11
+        Y = _random_matrix(rng, 4)
+        R = restricted_pseudo_inverse_apply(L, ss, Y)
+        QY = Y - ss.rho * np.trace(Y)
+        assert np.max(np.abs(gen @ vec(L.space, R) - vec(L.space, QY))) < 1e-9
+        assert abs(np.trace(R)) < 1e-11
     # the stationary direction itself maps to (numerically) nothing
-    r0 = restricted_pseudo_inverse_apply(L, ss, ss.vec.copy())
-    assert np.max(np.abs(r0)) < 1e-10
+    R0 = restricted_pseudo_inverse_apply(L, ss, ss.rho.copy())
+    assert np.max(np.abs(R0)) < 1e-10
 
 
 def test_generator_preserves_hermiticity_and_trace():
     rng = np.random.default_rng(6)
     L = _random_ergodic(rng, 3)
     assert L.trace_defect() < 1e-12
-    sp = L.space
-    dense = assemble(sp, L.terms)
     for _ in range(10):
-        x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        rho = x + x.conj().T
-        out = sp.devec(dense @ sp.vec(rho))
+        out = apply_terms(L.terms, _random_hermitian(rng, 3))
         assert np.max(np.abs(out - out.conj().T)) < 1e-12
         assert abs(np.trace(out)) < 1e-12
 
@@ -322,8 +323,8 @@ def test_generator_preserves_hermiticity_and_trace():
 def test_apply_terms_matches_matrix():
     rng = np.random.default_rng(7)
     L = _random_ergodic(rng, 4)
-    x = rng.normal(size=L.space.n) + 1j * rng.normal(size=L.space.n)
-    assert np.allclose(apply_terms(L.terms, L.space, x), assemble(L.space, L.terms) @ x)
+    X = _random_matrix(rng, 4)
+    assert np.allclose(vec(L.space, apply_terms(L.terms, X)), dense(L.space, L.terms) @ vec(L.space, X))
 
 
 def test_tagged_term_rejects_unknown_tag():

@@ -23,8 +23,9 @@ from nanojunction.model import (
     regime_params,
     states,
 )
-from nanojunction.superop import apply_terms, assemble, steady_state
+from nanojunction.superop import apply_terms, steady_state
 from nanojunction.wcme import assemble_wcme, build_wcme_lead_dissipator
+from reference import dense, devec, vec
 
 
 def _classical_rates(p):
@@ -98,7 +99,7 @@ def test_counted_current_matches_classical_chain():
 
 
 def _dissipator_action(L, baths, rho):
-    return L.space.devec(apply_terms(L.bath(*baths), L.space, L.space.vec(rho)))
+    return apply_terms(L.bath(*baths), rho)
 
 
 def test_lead_rates_with_and_without_interaction_shift():
@@ -140,9 +141,9 @@ def test_phonon_rates_and_detailed_balance():
 def test_decoupled_baths_leave_no_trace():
     p = ModelParams(Gamma_L=0.0, lam=0.0)
     L = assemble_wcme(p)
-    assert np.max(np.abs(assemble(L.space, L.bath("left")))) == 0.0
-    assert np.max(np.abs(assemble(L.space, L.bath("phonon")))) == 0.0
-    assert np.max(np.abs(assemble(L.space, L.bath("right")))) > 0.0
+    assert np.max(np.abs(dense(L.space, L.bath("left")))) == 0.0
+    assert np.max(np.abs(dense(L.space, L.bath("phonon")))) == 0.0
+    assert np.max(np.abs(dense(L.space, L.bath("right")))) > 0.0
 
 
 def test_equilibrium_carries_no_current():
@@ -174,10 +175,10 @@ def test_degenerate_transition_rejected():
 
 def test_tag_partition_reassembles_generator():
     L = assemble_wcme(regime_params(2))
-    full = assemble(L.space, L.terms)
+    full = dense(L.space, L.terms)
     total = np.zeros_like(full)
     for key in itertools.product(("coherent", "left", "right", "phonon"), (-1, 0, 1)):
-        total += assemble(L.space, [t for t in L.terms if (t.bath, t.jump) == key])
+        total += dense(L.space, [t for t in L.terms if (t.bath, t.jump) == key])
     assert np.allclose(total, full, atol=1e-14)
     for t in L.terms:
         if t.jump != 0:
@@ -187,11 +188,11 @@ def test_tag_partition_reassembles_generator():
 def test_generator_preserves_hermiticity():
     L = assemble_wcme(P_MIXED)
     rng = np.random.default_rng(11)
-    dense = assemble(L.space, L.terms)
+    gen = dense(L.space, L.terms)
     for _ in range(5):
         x = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        rho = L.space.devec(L.space.vec(x + x.conj().T))
-        out = L.space.devec(dense @ L.space.vec(rho))
+        rho = devec(L.space, vec(L.space, x + x.conj().T))
+        out = devec(L.space, gen @ vec(L.space, rho))
         assert np.max(np.abs(out - out.conj().T)) < 1e-13
     assert L.trace_defect() < 1e-13
 
