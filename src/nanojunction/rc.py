@@ -51,7 +51,7 @@ METHODS = ("wcme", "rcme", "arcme")
 # allocate, checked from the sector sizes before H' is built.  The peak is
 # the float64 (n+1)^2 bordered buffer, which the LU overwrites, plus
 # assembly's working set of a few MB (one sector pair's stacked term blocks
-# and one contraction slab): ~8 (n+1)^2 bytes, ~648 MB at n = 9000, which
+# and one rectangle of tiles): ~8 (n+1)^2 bytes, ~648 MB at n = 9000, which
 # is M = 60 (an M = 60 report peaked at 734 MB RSS).
 MAX_RESTRICTED_DIM = 9000
 

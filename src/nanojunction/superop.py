@@ -10,22 +10,23 @@ Everywhere else rho, and every operator a solve hands back, is a d x d array.
 
 Superoperator terms are stored in factorized form, coef * (A . B), i.e.
 rho -> coef * A @ rho @ B, the generator's only stored form: a
-``Liouvillian`` sums them blockwise, via vec(A rho B) = (B^T kron A) vec(rho)
-on column-stacked blocks, straight into its bordered LU buffer; its
-certificates apply them to d x d matrices (``apply_terms``).
-Each m^2 x m^2 sector-pair block gets one contraction over the stacked
-m x m factor blocks of the terms whose factors reach that pair (identity
-factors reach only the diagonal pairs), added in place a few l-slabs at a
-time, so assembly holds one pair's stacked blocks and a slab temporary.
+``Liouvillian`` sums them blockwise straight into its bordered LU buffer;
+its certificates apply them to d x d matrices (``apply_terms``).
 
 The generators map Hermitian rho to Hermitian rho, so the buffer and its LU
 are real (float64): each position of ``Space.index`` holds a real coordinate
 of a Hermitian matrix, Re rho_rc at (r, c) for r <= c and Im rho_rc at
 (c, r) for r < c (``Space.to_real`` / ``Space.from_real``, the only maps
 between d x d matrices and the LU).  The diagonal keeps its positions, so
-the trace row and column are unchanged.  Each slab's complex product is
-turned into its real image before the next, and a complex right-hand side
+the trace row and column are unchanged, and a complex right-hand side
 Y = H + iK is solved as its two Hermitian parts.
+
+Assembly computes only the tiles L(E_kl), k <= l, of each sector-pair
+block: as L(E_lk) = L(E_kl)^dag, one tile gives both real columns (k, l)
+and (l, k).  A rectangle of tiles at a time is one batched product of the
+stacked factor blocks of the terms that reach the pair (identity factors
+reach only the diagonal pairs), added in place through slices of the
+buffer, so assembly holds one pair's stacked blocks and two tile arrays.
 
 Importing this module sets NumPy's bundled OpenBLAS to one thread when SciPy
 links its own, so that NumPy's idle workers do not spin on the LU's cores.
@@ -66,7 +67,7 @@ def _pin_numpy_blas(numpy_ext: str, scipy_ext: str) -> None:
 
 _pin_numpy_blas(np.linalg._umath_linalg.__file__, sla._flapack.__file__)
 
-_CHUNK_BYTES = 1 << 18   # bound on ``assemble``'s slab temporaries (or one l-slab's)
+_CHUNK_BYTES = 1 << 18   # bound on ``assemble``'s tile temporaries (or one tile's)
 
 
 class NonUniqueSteadyState(Exception):
@@ -156,89 +157,88 @@ def assemble(space: Space, terms, out: np.ndarray) -> np.ndarray:
 
     ``out`` is Fortran-ordered (so that its transpose is written row by row)
     and receives, in its leading n x n block, ``to_real`` of the terms'
-    action on ``from_real`` when they preserve Hermiticity (its rows read
-    the entries of the image on and above the diagonal).  Each sector-pair
-    block gets one contraction over the stacked factor blocks of the terms
-    that reach it, a few l-slabs at a time; entries are summed in the BLAS
-    kernel's order.
+    action on ``from_real``, provided the summed terms keep rho Hermitian
+    (its rows read the entries of the image on and above the diagonal).
+    Each column pair (k, l), (l, k) is read off the one tile L(E_kl), k <= l,
+    through L(E_lk) = L(E_kl)^dag, which only such terms satisfy: for any
+    other terms the buffer is not their real image, and the complex residual
+    of ``steady_state`` refuses the solve.  The map is linear in the terms,
+    so partial sums add up.  Entries are summed in the BLAS kernel's order.
     """
     d, nsec = space.dim, len(space.sectors)
     onehot = np.zeros((nsec, d))
     onehot[space.sector_id, np.arange(d)] = 1.0
 
-    def reach(X):   # reach[a, c]: X[sa, sc] has a non-zero; the identity's is a == c
-        if X is None:
-            return np.eye(nsec, dtype=bool)
-        return onehot @ (X != 0) @ onehot.T > 0
+    same = np.eye(nsec, dtype=bool)   # the identity's reach
+
+    def reach(X):   # reach[a, c]: X[sa, sc] has a non-zero
+        return same if X is None else onehot @ (X != 0) @ onehot.T > 0
 
     reaches = [(reach(t.left), reach(t.right).T) for t in terms]
     eye = np.eye(d, dtype=complex)
-    # a block of L is coef * kron(B^T, A); its transpose kron(B, A^T), viewed
-    # as blk[l, k, j, i] = sum_t coef_t B_t[l, j] A_t[i, k], is added into
-    # the C-ordered out.T
+    # a block of L is coef * kron(B^T, A); its transpose, added into the C-ordered
+    # out.T, is blk[l, k, j, i] = L(E_kl)[i, j] = sum_t coef_t B_t[l, j] A_t[i, k]
     LT = out.T
+    # one work array for all rectangles: per-rectangle temporaries churn the heap into page faults
+    m = max(map(len, space.sectors))
+    work = np.empty(2 * max(min(_CHUNK_BYTES // 32, m**4), m * m), dtype=complex)
     for a, (sa, offa) in enumerate(zip(space.sectors, space.offsets)):
         for c, (sc, offc) in enumerate(zip(space.sectors, space.offsets)):
             hit = [t for t, (lr, rr) in zip(terms, reaches) if lr[a, c] and rr[a, c]]
             if not hit:
                 continue
             ma, mc = len(sa), len(sc)
-            ac = (sa[:, None] * d + sc).ravel()   # flat positions of X[sa, sc]
-            ca = (sc[:, None] * d + sa).ravel()
-            As = np.stack([(eye if t.left is None else t.left).reshape(-1).take(ac)
-                           for t in hit]).reshape(-1, ma, mc)
-            Bs = np.stack([t.coef * (eye if t.right is None else t.right).reshape(-1).take(ca)
-                           for t in hit]).reshape(-1, mc, ma)
+            ka = (sc[:, None] + d * sa).ravel()   # flat positions of X[sa, sc] by (k, i)
+            lj = (sc[:, None] * d + sa).ravel()   # and of X[sc, sa] by (l, j)
+            # over the terms t: Ak[k][t] = A_t[sa, sc[k]], Bl[l][:, t] = coef_t B_t[sc[l], sa]
+            Ak = np.stack([(eye if t.left is None else t.left).reshape(-1).take(ka)
+                           for t in hit]).reshape(-1, mc, ma).transpose(1, 0, 2)
+            Bl = np.stack([t.coef * (eye if t.right is None else t.right).reshape(-1).take(lj)
+                           for t in hit]).reshape(-1, mc, ma).transpose(1, 2, 0)
             blk = LT[offc : offc + mc * mc, offa : offa + ma * ma].reshape(mc, mc, ma, ma)
-            # whole l-slabs per contraction, each with its two real images
-            nl = max(1, _CHUNK_BYTES // (32 * mc * ma * ma))
-            for l0 in range(0, mc, nl):
-                _add_real_slab(blk, Bs[:, l0 : l0 + nl], As, l0)
+            rects, ph, phc = _tiling(mc, ma, max(1, _CHUNK_BYTES // (32 * ma * ma)))
+            for l0, l1, k0, k1, wgt in rects:
+                # z[l, k, j, i] = Z[i, j] for Z = L(E_kl); with S = Z + Z^T and
+                # D = Z^T - Z, the column (k, l) takes Re S at rows i <= j and
+                # Im D below, the column (l, k) -Im S and Re D: Re u and -Im u
+                # for u = ph z + conj(ph) z^T, ph = 1 where i <= j, else i
+                shape = (2, l1 - l0, k1 - k0, ma, ma)
+                z, u = work[: 2 * (l1 - l0) * (k1 - k0) * ma * ma].reshape(shape)
+                np.matmul(Bl[l0:l1, None], Ak[None, k0:k1], out=z)
+                np.multiply(z.swapaxes(2, 3), phc, out=u)
+                z *= ph
+                u += z
+                if wgt is not None:
+                    u[:, l0 - k0 :] *= wgt[:, :, None, None]
+                re = blk[l0:l1, k0:k1]                  # the columns (k, l)
+                re += u.real
+                im = blk[k0:k1, l0:l1].swapaxes(0, 1)   # and (l, k)
+                im -= u.imag
     return out
 
 
 @functools.lru_cache(maxsize=64)
-def _real_image(ma: int, mc: int):
-    """Tables that turn the complex l-slabs of an (ma, mc) sector pair into real ones.
+def _tiling(mc: int, ma: int, tiles: int):
+    """Rectangles [l0, l1) x [k0, k1) of at most ``tiles`` tiles (or one) that
+    cover the tiles k <= l of an (ma, mc) pair, and the phase ph of ``assemble``.
 
-    Per l, the product z[j, i, k] is read as floats (Re, Im interleaved).
-    Output entry (i, j) of input k, at [k, j, i], takes Re of (i, j) where
-    i <= j and Im of (j, i) otherwise: ``f`` indexes the real image of z,
-    and ``h`` times ``sign`` that of -i z.  ``above`` and ``below`` mark the
-    inputs (l, k) with k > l and k < l.
+    Bands of rows [l0, l1) by columns [0, l1), all of one height, or single
+    rows in pieces.  Where a rectangle reaches the diagonal, its tiles in
+    [l0, l1) x [l0, k1) are weighed 1 below, 1/2 on (the column (l, l) is
+    to_real(L(E_ll))) and 0 above the diagonal (tiles of later rows).
     """
-    j, i = np.divmod(np.arange(ma * ma), ma)
-    upper = i <= j
-    f = 2 * (np.where(upper, j * ma + i, i * ma + j) * mc + np.arange(mc)[:, None]) + ~upper
-    k, l = np.arange(mc), np.arange(mc)[:, None, None, None]
-    return (f.ravel(), (f ^ 1).ravel(), np.where(upper, 1.0, -1.0).reshape(ma, ma),
-            k[:, None, None] > l, k[:, None, None] < l)
-
-
-def _add_real_slab(blk: np.ndarray, Bs: np.ndarray, As: np.ndarray, l0: int) -> None:
-    """Add the real image of one slab z[l, k, j, i] = L(E_kl)[i, j] (l from l0) to a block.
-
-    ``from_real`` of a unit coordinate is E_kl + E_lk at (k, l) and
-    i (E_kl - E_lk) at (l, k), for k < l, and E_kk on the diagonal; so
-    L(E_kl) enters the real column (k, l) as the real image of z where
-    k <= l and of -i z where k > l, and the column (l, k) as that of z
-    where k > l and of i z where k < l.
-    """
-    nl, ma, mc = Bs.shape[1], Bs.shape[2], As.shape[2]
-    f, h, sign, above, below = _real_image(ma, mc)
-    ls = slice(l0, l0 + nl)
-    # the tensordot of Bs and As over the terms, laid out [(l, j), (i, k)]
-    z = np.dot(Bs.reshape(len(Bs), -1).T, As.reshape(len(As), -1)).view(float).reshape(nl, -1)
-    zf = z.take(f, axis=1).reshape(nl, mc, ma, ma)
-    zh = z.take(h, axis=1).reshape(nl, mc, ma, ma)
-    del z
-    zh *= sign
-    up, down = above[ls], below[ls]
-    own, other = blk[ls], blk[:, ls].swapaxes(0, 1)   # the columns (k, l) and (l, k)
-    np.add(own, zf, out=own, where=~up)
-    np.add(own, zh, out=own, where=up)
-    np.add(other, zf, out=other, where=up)
-    np.subtract(other, zh, out=other, where=down)
+    h = max(1, tiles // mc)
+    h = -(-mc // -(-mc // h))   # the same height for every band
+    rects = []
+    for l0 in range(0, mc, h):
+        l1 = min(l0 + h, mc)
+        step = tiles // (l1 - l0)   # all of [0, l1) unless the band is one row
+        for k0 in range(0, l1, step):
+            k1 = min(k0 + step, l1)
+            wgt = np.tri(l1 - l0, k1 - l0, -1) + 0.5 * np.eye(l1 - l0, k1 - l0) if k1 > l0 else None
+            rects.append((l0, l1, k0, k1, wgt))
+    ph = np.where(np.tri(ma, dtype=bool), 1.0, 1j)
+    return rects, ph, ph.conj()
 
 
 def apply_terms(terms, rho: np.ndarray) -> np.ndarray:

@@ -1,11 +1,14 @@
-"""Complex restricted coordinates for the tests: vec, devec and the dense generator.
+"""Complex restricted coordinates for the tests: vec, devec, the dense generator
+and the map to the package's real coordinates.
 
 ``vec`` column-stacks the kept blocks rho[S, S] of a d x d matrix in the
 order of ``Space.index``, ``devec`` undoes it with zeros off the blocks, and
 ``dense`` is the complex n x n matrix of a term list in those coordinates,
-every sector-pair block summed as one full kron(B, A^T) per term.  The
-package itself never forms either: it keeps rho as a d x d array and the
-generator in real coordinates.
+every sector-pair block summed as one full kron(B, A^T) per term.
+``hermitian_coordinates`` is the n x n T that takes ``vec`` of a Hermitian
+matrix to its real coordinates, so the real generator the package
+assembles is T dense T^-1.  The package itself never forms any of them: it
+keeps rho as a d x d array and the generator in real coordinates.
 """
 import numpy as np
 
@@ -42,3 +45,20 @@ def dense(space, terms) -> np.ndarray:
                 blk *= t.coef
                 LT[offc : offc + mc * mc, offa : offa + ma * ma] += blk.reshape(mc * mc, ma * ma)
     return out
+
+
+def hermitian_coordinates(space) -> np.ndarray:
+    """T with y = T x on Hermitian x, entry by entry from ``Space.index``:
+    y holds Re rho_rc at (r, c) for r <= c and Im rho_rc at (c, r) for r < c."""
+    d, n = space.dim, space.n
+    pos = {int(v): p for p, v in enumerate(space.index)}
+    T = np.zeros((n, n), dtype=complex)
+    for p, v in enumerate(space.index):
+        r, c = divmod(int(v), d)
+        q = pos[c * d + r]
+        if r <= c:   # Re x_p = (x_p + x_q) / 2
+            T[p, p] += 0.5
+            T[p, q] += 0.5
+        else:        # Im x_q = (x_q - x_p) / 2i
+            T[p, q], T[p, p] = -0.5j, 0.5j
+    return T

@@ -4,7 +4,8 @@ Each example draws a method, a regime, lam in [0.01, 10], a bias V in
 [-1, 2], Gamma_L in [0.01, 1] and the Coulomb energy U from {inf, 1e3}, so
 every method runs in both electronic state spaces: {G, L, R} at U = inf,
 with the doubly occupied state added at finite U.  It solves at Fock
-cutoff M = 6.  Trace
+cutoff M = 6.  The float64 buffer the LU factors must be the generator in
+real Hermitian coordinates, T dense T^-1.  Trace
 and Hermiticity preservation, c2 >= 0 and the equality of left- and
 right-counted currents must hold for all three methods, and so must the
 parity Pi the generators are solved under: every term keeps Pi-even
@@ -31,7 +32,7 @@ from nanojunction import Liouvillian, Space
 from nanojunction import energy_currents, mean_current, regime_params, steady_state
 from nanojunction.model import sector_labels
 from nanojunction.rc import METHODS
-from reference import dense, devec, vec
+from reference import dense, devec, hermitian_coordinates, vec
 
 M = 6
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=40)
@@ -46,6 +47,13 @@ def _hermiticity_defect(L, gen) -> float:
     X = devec(L.space, vec(L.space, X + X.conj().T))
     Y = devec(L.space, gen @ vec(L.space, X))
     return float(np.max(np.abs(Y - Y.conj().T)) / np.max(np.abs(X)))
+
+
+def _real_buffer_defect(L, gen) -> float:
+    """max |B - T gen T^-1| for the n x n block B of the buffer the LU factors."""
+    n = L.space.n
+    T = hermitian_coordinates(L.space)
+    return float(np.max(np.abs(L._bordered[:n, :n] - T @ gen @ np.linalg.inv(T))))
 
 
 def _parity(f, flips) -> int:
@@ -81,9 +89,10 @@ def _parity_holds(L, ss, labels) -> bool:
 def test_invariants_hold_at_random_points(method, regime, lam, V, Gamma_L, U):
     p = regime_params(regime, lam=lam, Gamma_L=Gamma_L, U=U).with_bias(V)
     L = build_generator(p, method, M)
-    ss = steady_state(L)
     gen = dense(L.space, L.terms)
     scale = float(np.max(np.abs(gen)))
+    assert _real_buffer_defect(L, gen) <= 1e-13 * scale   # before the LU overwrites it
+    ss = steady_state(L)
     assert L.trace_defect() <= 1e-13 * scale
     assert _hermiticity_defect(L, gen) <= 1e-13 * scale
     assert cumulants(L, ss).c2 >= 0.0

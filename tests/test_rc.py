@@ -293,21 +293,22 @@ def test_build_and_factorization_hold_one_bordered_array(M):
     """Peak memory of a build plus its LU: the bordered buffer, and little else.
 
     Assembly adds into each sector-pair block of the float64 (n+1)^2
-    bordered buffer (8 bytes an entry, real coordinates) in place, one
-    contraction over the stacked m x m factor blocks of the terms that reach
-    the pair, a few l-slabs at a time, each slab turned into its real image
-    before the next, and the real LU overwrites the buffer.  Besides the
-    buffer, the bound allows exactly what that holds: the terms' own
-    factors, one sector pair's stacked blocks (at most two per term), a
-    slab's complex product with its two real images (together at most
-    ``_CHUNK_BYTES`` at these cutoffs) and as much again for the operand
-    copies and the buffers of the masked adds.  A complex buffer, a
-    block-sized temporary, a separate generator matrix or a copy made for
-    the factorization would not fit.  The factors are counted once per use,
-    not once per array: a factor shared by several terms then stands in for
-    the build's own transient arrays (filtered operators, products), which
-    the distinct arrays alone do not cover (keyed by ``id``, the bound falls
-    short of the peak by about 187 KiB at M = 22).
+    bordered buffer (8 bytes an entry, real coordinates) in place, through
+    slices: a rectangle of tiles L(E_kl), k <= l, at a time, each rectangle
+    one batched product over the stacked m x m factor blocks of the terms
+    that reach the pair, combined with its tile transposes into the real
+    columns.  The real LU then overwrites the buffer.  Besides the buffer,
+    the bound allows what that holds: the terms' own factors, one
+    sector pair's stacked blocks (at most two per term) and one work array
+    for a rectangle's product and combination (two complex arrays, together
+    at most ``_CHUNK_BYTES``), plus as much again, which the kernel leaves
+    unused.  A complex buffer, a block-sized temporary, a separate generator matrix
+    or a copy made for the factorization would not fit.  The factors are
+    counted once per use, not once per array: a factor shared by several
+    terms then stands in for the build's own transient arrays (filtered
+    operators, products), which the distinct arrays alone do not cover
+    (keyed by ``id``, the bound falls short of the peak by about 56 KiB
+    at M = 22).
     """
     tracemalloc.start()
     try:

@@ -26,7 +26,7 @@ from nanojunction.superop import (
     restricted_pseudo_inverse_apply,
     steady_state,
 )
-from reference import dense, devec, vec
+from reference import dense, devec, hermitian_coordinates, vec
 
 
 def _lindblad_terms(c):
@@ -108,11 +108,11 @@ def test_term_block_matches_sandwich():
 
 
 def test_assembly_matches_full_kron_blocks(monkeypatch):
-    """Stacked per-pair contractions turned into real l-slabs, on sectors not
-    contiguous in the basis, give T dense T^-1 of the per-term kron blocks up
-    to the order of summation: terms that do not reach a sector pair
-    (block-sparse or zero factors) are skipped, and one-sided terms reach
-    only the diagonal pairs."""
+    """Tiles L(E_kl), k <= l, each giving a pair of real columns, on sectors
+    not contiguous in the basis, give T dense T^-1 of the per-term kron
+    blocks up to the order of summation: terms that do not reach a sector
+    pair (block-sparse or zero factors) are skipped, and one-sided terms
+    reach only the diagonal pairs."""
     rng = np.random.default_rng(9)
     sp = Space([0, 1, 1, 2, 1, 0])
     lower = np.zeros((6, 6), dtype=complex)   # lowers the charge by one
@@ -136,7 +136,7 @@ def test_assembly_matches_full_kron_blocks(monkeypatch):
     L = assemble_rcme(regime_params(1, lam=1000.0), 6)
 
     def expected(space, terms):
-        T = _hermitian_coordinates(space)
+        T = hermitian_coordinates(space)
         full = T @ dense(space, terms) @ np.linalg.inv(T)
         assert np.max(np.abs(full.imag)) <= 1e-13 * np.max(np.abs(full))
         return full.real
@@ -145,10 +145,12 @@ def test_assembly_matches_full_kron_blocks(monkeypatch):
         return np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
 
     ref, L_ref = expected(sp, terms), expected(L.space, L.terms)
-    # besides the default, tiny chunks: one l-slab each (48, 96, 288), slabs
-    # of two with a partial last one (192, the 3-index sector of the toy
-    # space) and whole slabs of two (3456, RCME's 6-index sectors)
-    for chunk_bytes in (superop._CHUNK_BYTES, 48, 96, 192, 288, 3456):
+    # a tile of an m-index output sector counts 32 m^2 bytes.  Besides the
+    # default (one band per pair), on both spaces: one tile per chunk (32);
+    # rows split inside, into pieces of two with a partial last one (576);
+    # bands of two rows with a partial last one (256 on the toy space's
+    # 3-index sector, 8192 on RCME's) and whole bands of three (8192)
+    for chunk_bytes in (superop._CHUNK_BYTES, 32, 256, 576, 8192):
         monkeypatch.setattr(superop, "_CHUNK_BYTES", chunk_bytes)
         assert close(_real_generator(sp, terms), ref)
         # the rest of the terms is added into a partial sum
@@ -178,27 +180,10 @@ def test_sector_assembly_matches_full_space():
     assert np.allclose(y_restr, y_full, atol=1e-13)
 
 
-def _hermitian_coordinates(space):
-    """T with y = T x on Hermitian x, entry by entry from ``Space.index``:
-    y holds Re rho_rc at (r, c) for r <= c and Im rho_rc at (c, r) for r < c."""
-    d, n = space.dim, space.n
-    pos = {int(v): p for p, v in enumerate(space.index)}
-    T = np.zeros((n, n), dtype=complex)
-    for p, v in enumerate(space.index):
-        r, c = divmod(int(v), d)
-        q = pos[c * d + r]
-        if r <= c:   # Re x_p = (x_p + x_q) / 2
-            T[p, p] += 0.5
-            T[p, q] += 0.5
-        else:        # Im x_q = (x_q - x_p) / 2i
-            T[p, q], T[p, p] = -0.5j, 0.5j
-    return T
-
-
 def test_real_coordinates_of_hermitian_matrices():
     rng = np.random.default_rng(10)
     sp = Space([0, 1, 1, 2, 1, 0])
-    T = _hermitian_coordinates(sp)
+    T = hermitian_coordinates(sp)
     for _ in range(5):
         H = _random_hermitian(rng, 6)
         y = sp.to_real(H)
@@ -220,7 +205,7 @@ def test_real_bordered_block_is_the_generator_in_hermitian_coordinates(method, U
     bordered by the unchanged trace row and column; U = 0.8 has four states."""
     L = build_generator(regime_params(1, lam=30.0, U=U), method, 4)
     n = L.space.n
-    T = _hermitian_coordinates(L.space)
+    T = hermitian_coordinates(L.space)
     gen = dense(L.space, L.terms)
     expected = T @ gen @ np.linalg.inv(T)
     scale = np.max(np.abs(gen))
