@@ -40,6 +40,10 @@ from .model import (
 )
 from .superop import Liouvillian, Space, TaggedTerm, coherent_terms
 
+# Lead weights below 2**-511 (beta*|omega - mu| > 354) are set to 0: far below the generator's
+# rounding, yet a product of two would be subnormal and slow the LU (~1.5x at M = 34).
+FERMI_FLOOR = np.finfo(float).tiny ** 0.5
+
 
 def fermi_half(A: np.ndarray, evals: np.ndarray, beta: float, mu: float):
     """Filter a lead coupling operator that removes an electron, into (chi, phi).
@@ -47,8 +51,9 @@ def fermi_half(A: np.ndarray, evals: np.ndarray, beta: float, mu: float):
     The quantum enters the lead at -eta_jk.  The factors of the adjoint, which
     adds an electron, are the adjoints of these (fl(a - b) = -fl(b - a)).
     """
-    occ = fermi(beta, mu, -np.subtract.outer(evals, evals))
-    return occ * A, (1.0 - occ) * A
+    omega = -np.subtract.outer(evals, evals)
+    occ, emp = fermi(beta, mu, omega), fermi(-beta, mu, omega)   # emp = 1 - occ, exact in its tail
+    return np.where(occ < FERMI_FLOOR, 0.0, occ) * A, np.where(emp < FERMI_FLOOR, 0.0, emp) * A
 
 
 def bose_half(A: np.ndarray, evals: np.ndarray, J, slope0: float, beta: float):

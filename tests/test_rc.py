@@ -301,13 +301,13 @@ def test_build_and_factorization_hold_one_bordered_array(M):
     the bound allows what that holds: the terms' own factors, one
     sector pair's stacked blocks (at most two per term) and one work array
     for a rectangle's product and combination (two complex arrays, together
-    at most ``_CHUNK_BYTES``), plus as much again, which the kernel leaves
-    unused.  A complex buffer, a block-sized temporary, a separate generator matrix
-    or a copy made for the factorization would not fit.  The factors are
+    at most ``_CHUNK_BYTES``).  A complex buffer, a block-sized temporary, a
+    second work array, a separate generator matrix or a copy made for the
+    factorization would not fit.  The factors are
     counted once per use, not once per array: a factor shared by several
     terms then stands in for the build's own transient arrays (filtered
     operators, products), which the distinct arrays alone do not cover
-    (keyed by ``id``, the bound falls short of the peak by about 56 KiB
+    (keyed by ``id``, the bound falls short of the peak by about 312 KiB
     at M = 22).
     """
     tracemalloc.start()
@@ -320,4 +320,26 @@ def test_build_and_factorization_hold_one_bordered_array(M):
     m = max(len(s) for s in L.space.sectors)
     terms = sum(f.nbytes for t in L.terms for f in (t.left, t.right) if f is not None)
     pair_blocks = 2 * len(L.terms) * 16 * m * m
-    assert peak <= 8 * (L.space.n + 1) ** 2 + terms + 2 * _CHUNK_BYTES + pair_blocks
+    assert peak <= 8 * (L.space.n + 1) ** 2 + terms + _CHUNK_BYTES + pair_blocks
+
+
+@pytest.mark.parametrize("method, regime, lam, M", [
+    ("rcme", 1, 1000.0, 10), ("rcme", 2, 30.0, 22), ("arcme", 2, 30.0, 22)])
+def test_generator_and_lu_hold_no_subnormal_numbers(method, regime, lam, M):
+    """No entry of the factors, the bordered buffer or its LU lies in (0, tiny).
+
+    The leads are filtered at transition frequencies of H' that span
+    thousands of omega, so Fermi weights reach exp(-745).  Below
+    ``wcme.FERMI_FLOOR`` they are zero, and no product of two weights falls
+    into the subnormal range, where the CPU takes a slow path on every
+    operation (the M = 34 LU ran about 1.5x longer with them).
+    """
+    L = build_generator(regime_params(regime, lam=lam), method, M)
+
+    def subnormal(x):
+        return int(np.count_nonzero((x != 0) & (np.abs(x) < np.finfo(float).tiny)))
+
+    factors = [f for t in L.terms for f in (t.left, t.right) if f is not None]
+    assert sum(map(subnormal, factors)) == 0
+    assert subnormal(L._bordered) == 0    # summed, not yet factored
+    assert subnormal(L.bordered_lu()[0]) == 0

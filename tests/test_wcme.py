@@ -24,7 +24,7 @@ from nanojunction.model import (
     states,
 )
 from nanojunction.superop import apply_terms, steady_state
-from nanojunction.wcme import assemble_wcme, build_wcme_lead_dissipator
+from nanojunction.wcme import assemble_wcme, build_wcme_lead_dissipator, fermi_half
 from reference import dense, devec, vec
 
 
@@ -136,6 +136,18 @@ def test_phonon_rates_and_detailed_balance():
     assert gain_L == pytest.approx(emit, rel=1e-12)
     assert gain_R == pytest.approx(absorb, rel=1e-12)
     assert gain_L / gain_R == pytest.approx(np.exp(p.beta_ph * p.Delta), rel=1e-12)
+
+
+def test_lead_weights_keep_detailed_balance_in_both_tails():
+    """phi / chi = exp(beta (omega - mu)) where either weight is ~exp(-40).
+
+    A complement taken as 1 - f loses the small weight to rounding where f
+    rounds to 1 (it returns 0 there); the exact complement keeps it.
+    """
+    chi, phi = fermi_half(np.ones((2, 2)), np.array([0.0, 20.0]), 2.0, 0.0)
+    # omega = -(eta_jk): +20 at (0, 1), -20 at (1, 0); beta (omega - mu) = +-40
+    ratio = [phi[0, 1] / chi[0, 1], phi[1, 0] / chi[1, 0]]
+    np.testing.assert_allclose(ratio, np.exp([40.0, -40.0]), rtol=1e-12, atol=0.0)
 
 
 def test_decoupled_baths_leave_no_trace():
