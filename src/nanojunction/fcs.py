@@ -56,16 +56,12 @@ def zero_frequency_noise(L: Liouvillian, ss: SteadyState, side: str = "right") -
 
 @dataclass(frozen=True)
 class Cumulants:
-    """First two counted cumulants with derived noise ratios.
-
-    ``fano`` (c2/|c1|) and ``upsilon`` (c2/c1^2, the squared relative
-    uncertainty per unit time) are left unset when the mean current is
-    numerically zero.
-    """
+    """First two counted cumulants and upsilon = c2/c1^2, the squared relative
+    uncertainty per unit time, left unset when the mean current is
+    numerically zero."""
 
     c1: float
     c2: float
-    fano: float | None
     upsilon: float | None
 
     def __post_init__(self):
@@ -74,9 +70,7 @@ class Cumulants:
 
 
 def cumulants(L: Liouvillian, ss: SteadyState, side: str = "right") -> Cumulants:
-    """Mean current and noise at a lead, packaged with Fano and upsilon."""
+    """Mean current and noise at a lead, packaged with upsilon."""
     c1 = mean_current(L, ss, side)
     c2 = zero_frequency_noise(L, ss, side)
-    if abs(c1) > 1e-12:
-        return Cumulants(c1=c1, c2=c2, fano=c2 / abs(c1), upsilon=c2 / c1**2)
-    return Cumulants(c1=c1, c2=c2, fano=None, upsilon=None)
+    return Cumulants(c1=c1, c2=c2, upsilon=c2 / c1**2 if abs(c1) > 1e-12 else None)

@@ -78,11 +78,9 @@ class AugmentedSystem:
     """
 
     M: int                           # Fock cutoff
-    hamiltonian: np.ndarray          # product basis
     space: Space                     # charge x parity sectors of the product basis
     evals: np.ndarray                # eigenvalue per eigencolumn
     modes: np.ndarray = field(repr=False)  # eigencolumns, block-unitary
-    residual: float = 0.0            # max |H W - W diag(evals)|
 
     def rotate(self, A: np.ndarray) -> np.ndarray:
         """Transform a product-basis operator into the eigenbasis."""
@@ -120,8 +118,7 @@ def build_augmented_hamiltonian(p: ModelParams, M: int) -> AugmentedSystem:
     residual = float(np.max(np.abs(Hp @ W - W * evals)))
     if residual > 1e-9:
         raise ConvergenceFailure(f"augmented eigendecomposition residual {residual:.3e}")
-    return AugmentedSystem(M=M, hamiltonian=Hp, space=space,
-                           evals=evals, modes=W, residual=residual)
+    return AugmentedSystem(M=M, space=space, evals=evals, modes=W)
 
 
 def build_rate_operators(aug: AugmentedSystem, p: ModelParams):

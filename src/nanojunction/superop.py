@@ -18,8 +18,7 @@ are real (float64): each position of ``Space.index`` holds a real coordinate
 of a Hermitian matrix, Re rho_rc at (r, c) for r <= c and Im rho_rc at
 (c, r) for r < c (``Space.to_real`` / ``Space.from_real``, the only maps
 between d x d matrices and the LU).  The diagonal keeps its positions, so
-the trace row and column are unchanged, and a complex right-hand side
-Y = H + iK is solved as its two Hermitian parts.
+the trace row and column are unchanged.
 
 Assembly computes only the tiles L(E_kl), k <= l, of each sector-pair
 block: as L(E_lk) = L(E_kl)^dag, one tile gives both real columns (k, l)
@@ -68,6 +67,7 @@ def _pin_numpy_blas(numpy_ext: str, scipy_ext: str) -> None:
 _pin_numpy_blas(np.linalg._umath_linalg.__file__, sla._flapack.__file__)
 
 _CHUNK_BYTES = 1 << 18   # bound on ``assemble``'s tile temporaries (or one tile's)
+RESIDUAL_TOL = 1e-9      # bound on the steady-state residual certificate max|L(rho)|
 
 
 class NonUniqueSteadyState(Exception):
@@ -105,8 +105,7 @@ class Space:
         """Real coordinates of the Hermitian part H = (X + X^dag) / 2 of a d x d X.
 
         Re H_rc at (r, c) for r <= c and Im H_rc at (c, r) for r < c; blocks
-        off the sectors are dropped.  For a Hermitian X that is X itself, and
-        ``to_real(-1j * X)`` gives the K of X = H + iK.
+        off the sectors are dropped.  For a Hermitian X that is X itself.
         """
         x, xt = X.take(self.index), X.T.take(self.index)   # X_rc and X_cr
         return np.where(self._upper, 0.5 * (x.real + xt.real), 0.5 * (xt.imag - x.imag))
@@ -283,17 +282,6 @@ class Liouvillian:
     def bath(self, *baths):
         return [t for t in self.terms if t.bath in baths]
 
-    def trace_defect(self) -> float:
-        """Infinity norm of the trace functional acting from the left, 1^dag L.
-
-        tr(A rho B) = tr(B A rho), so tr L(rho) = tr(K rho) with K = sum coef B A,
-        the terms with their factors swapped applied to the identity; the
-        functional is K^T read on the kept blocks.
-        """
-        eye = np.eye(self.space.dim, dtype=complex)
-        K = sum(TaggedTerm(t.coef, t.right, t.left).apply(eye) for t in self.terms)
-        return float(np.max(np.abs(K.T.take(self.space.index))))
-
     def bordered_lu(self):
         """Real LU of [[L, t^T], [t, 0]]; shared by steady state and pseudo-inverse."""
         if self._lu is None:
@@ -319,39 +307,32 @@ class SteadyState:
 
 
 def _bordered_solve(L: Liouvillian, Y: np.ndarray, trace: float, error: type) -> np.ndarray:
-    """X from [[L, t^T], [t, 0]] [X; s] = [Y; trace], with the cached real LU.
-
-    Y = H + iK with H and K Hermitian; each is solved in real coordinates
-    (one column each, skipped when zero), so any complex d x d Y is answered.
-    """
-    lu, sp = L.bordered_lu(), L.space
-    X = np.zeros((sp.dim, sp.dim), dtype=complex)
-    for unit, part, tr in ((1.0, Y, trace), (1j, -1j * Y, 0.0)):
-        rhs = np.append(sp.to_real(part), tr)
-        if rhs.any():
-            X += unit * sp.from_real(sla.lu_solve(lu, rhs, check_finite=False)[:-1])
-    if not np.all(np.isfinite(X)):
+    """Hermitian X from [[L, t^T], [t, 0]] [X; s] = [H; trace], H the Hermitian
+    part of Y: one real solve with the cached LU."""
+    sp = L.space
+    x = sla.lu_solve(L.bordered_lu(), np.append(sp.to_real(Y), trace), check_finite=False)[:-1]
+    if not np.all(np.isfinite(x)):
         raise error("bordered solve returned non-finite entries")
-    return X
+    return sp.from_real(x)
 
 
-def steady_state(L: Liouvillian, tol: float = 1e-9) -> SteadyState:
+def steady_state(L: Liouvillian) -> SteadyState:
     """Solve L(rho) = 0 with unit trace via the bordered system.
 
     Raises ``NonUniqueSteadyState`` when the stationary direction is
     degenerate and ``ConvergenceFailure`` when the residual certificate
-    ``max|L(rho)|`` (L applied from its terms) exceeds ``tol`` or
+    ``max|L(rho)|`` (L applied from its terms) exceeds ``RESIDUAL_TOL`` or
     populations go below -1e-3.
     """
     d = L.space.dim
-    rho = _bordered_solve(L, np.zeros((d, d)), 1.0, NonUniqueSteadyState)   # Hermitian
+    rho = _bordered_solve(L, np.zeros((d, d)), 1.0, NonUniqueSteadyState)
     tr = np.trace(rho).real
     if abs(tr) < 1e-300:
         raise ConvergenceFailure("steady-state trace vanished")
     rho /= tr
     residual = float(np.max(np.abs(apply_terms(L.terms, rho))))
-    if residual > tol:
-        raise ConvergenceFailure(f"steady-state residual {residual:.3e} > tol {tol:.1e}")
+    if residual > RESIDUAL_TOL:
+        raise ConvergenceFailure(f"steady-state residual {residual:.3e} > tol {RESIDUAL_TOL:.1e}")
     pops = np.diag(rho).real
     minpop = float(pops.min())
     # second-order generators are not completely positive, so populations
@@ -369,10 +350,12 @@ def steady_state(L: Liouvillian, tol: float = 1e-9) -> SteadyState:
 
 
 def restricted_pseudo_inverse_apply(L: Liouvillian, ss: SteadyState, Y: np.ndarray) -> np.ndarray:
-    """Apply R = Q L^{-1} Q to a d x d matrix, read on the kept blocks.
+    """Apply R = Q L^{-1} Q to the Hermitian part of a d x d Y, read on the kept blocks.
 
-    Q projects out the stationary direction: Q Y = Y - rho_ss tr Y.
-    The solve reuses the bordered LU; the trace row pins tr(R Y) = 0.
+    Q projects out the stationary direction: Q Y = Y - rho_ss tr Y.  The
+    counting right-hand sides are Hermitian (each lead's jump terms come in
+    adjoint pairs), and so is R Y.  The solve reuses the bordered LU; the
+    trace row pins tr(R Y) = 0.
     """
     rho = ss.rho
     X = _bordered_solve(L, Y - rho * np.trace(Y), 0.0, ConvergenceFailure)

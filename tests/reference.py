@@ -1,5 +1,6 @@
 """Complex restricted coordinates for the tests: vec, devec, the dense generator
-and the map to the package's real coordinates.
+and the map to the package's real coordinates; the trace defect of a
+generator and the augmented Hamiltonian H' in the product basis.
 
 ``vec`` column-stacks the kept blocks rho[S, S] of a d x d matrix in the
 order of ``Space.index``, ``devec`` undoes it with zeros off the blocks, and
@@ -11,6 +12,9 @@ assembles is T dense T^-1.  The package itself never forms any of them: it
 keeps rho as a d x d array and the generator in real coordinates.
 """
 import numpy as np
+
+from nanojunction.model import build_phonon_coupling_op, build_system_hamiltonian
+from nanojunction.superop import TaggedTerm
 
 
 def vec(space, rho: np.ndarray) -> np.ndarray:
@@ -62,3 +66,26 @@ def hermitian_coordinates(space) -> np.ndarray:
         else:        # Im x_q = (x_q - x_p) / 2i
             T[p, q], T[p, p] = -0.5j, 0.5j
     return T
+
+
+def trace_defect(L) -> float:
+    """Infinity norm of the trace functional acting from the left, 1^dag L.
+
+    tr(A rho B) = tr(B A rho), so tr L(rho) = tr(K rho) with K = sum coef B A,
+    the terms with their factors swapped applied to the identity; the
+    functional is K^T read on the kept blocks.
+    """
+    eye = np.eye(L.space.dim, dtype=complex)
+    K = sum(TaggedTerm(t.coef, t.right, t.left).apply(eye) for t in L.terms)
+    return float(np.max(np.abs(K.T.take(L.space.index))))
+
+
+def augmented_hamiltonian(p, M: int) -> np.ndarray:
+    """H' = (H_el + lam s^2) x 1 + kappa s x (a + a^dag) + Omega 1 x a^dag a
+    on the product basis (electronic kron Fock), kappa = sqrt(lam omega0)."""
+    Hel = build_system_hamiltonian(p)
+    s = build_phonon_coupling_op(p)
+    a = np.diag(np.sqrt(np.arange(1.0, M)), 1)
+    return (np.kron(Hel + p.lam * (s @ s), np.eye(M))
+            + np.sqrt(p.lam * p.omega0) * np.kron(s, a + a.T)
+            + p.omega0 * np.kron(np.eye(len(Hel)), a.T @ a))

@@ -43,7 +43,7 @@ def test_resonant_level_mean_and_fano():
     ss = steady_state(L)
     cum = cumulants(L, ss)
     assert cum.c1 == pytest.approx(gl * gr / (gl + gr), rel=1e-10)
-    assert cum.fano == pytest.approx(0.5, rel=1e-10)
+    assert cum.c2 / abs(cum.c1) == pytest.approx(0.5, rel=1e-10)
 
 
 def test_resonant_level_poisson_limit():
@@ -51,8 +51,9 @@ def test_resonant_level_poisson_limit():
     L = _single_level(gl, gr)
     cum = cumulants(L, steady_state(L))
     want = (gl**2 + gr**2) / (gl + gr) ** 2
-    assert cum.fano == pytest.approx(want, rel=1e-8)
-    assert abs(cum.fano - 1.0) < 1e-2   # rare injections -> Poissonian
+    fano = cum.c2 / abs(cum.c1)
+    assert fano == pytest.approx(want, rel=1e-8)
+    assert abs(fano - 1.0) < 1e-2   # rare injections -> Poissonian
 
 
 def test_both_leads_count_the_same_current():
@@ -97,7 +98,7 @@ def test_oracle_rejects_defective_generator():
 
 def test_negative_noise_rejected():
     with pytest.raises(ValueError):
-        Cumulants(c1=1.0, c2=-1e-8, fano=None, upsilon=None)
+        Cumulants(c1=1.0, c2=-1e-8, upsilon=None)
 
 
 def test_equilibrium_ratios_are_undefined():
@@ -106,7 +107,7 @@ def test_equilibrium_ratios_are_undefined():
     cum = cumulants(L, ss)
     assert abs(cum.c1) < 1e-13
     assert cum.c2 > 0.0            # thermal noise survives at zero current
-    assert cum.fano is None and cum.upsilon is None
+    assert cum.upsilon is None
 
 
 def test_only_a_lead_can_be_counted():

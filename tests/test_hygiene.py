@@ -1,8 +1,9 @@
 """Import hygiene of the package, read from its source with ``ast``.
 
 No module imports a name it never uses, the package ``__init__`` imports
-exactly the names it exports in ``__all__``, and every exported name is read
-by another package module or by the benchmark in ``perfbench/``.
+exactly the names it exports in ``__all__``, every exported name is read
+by another package module or by the benchmark in ``perfbench/``, and so is
+every public method of a package class.
 """
 import ast
 from pathlib import Path
@@ -48,14 +49,30 @@ def test_init_imports_exactly_the_exported_names():
     assert len(nanojunction.__all__) == len(set(nanojunction.__all__))
 
 
-def test_every_exported_name_is_read_outside_init():
-    readers = [m for m in MODULES if m.name != "__init__.py"] + PERFBENCH
+def _read(paths) -> set:
+    """Names and attributes the files load."""
     read = set()
-    for path in readers:
+    for path in paths:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
+    return read
+
+
+def test_every_exported_name_is_read_outside_init():
+    read = _read([m for m in MODULES if m.name != "__init__.py"] + PERFBENCH)
     assert PERFBENCH
     assert sorted(set(nanojunction.__all__) - read) == []
+
+
+def test_every_public_method_is_called_by_the_package_or_perfbench():
+    methods = {f"{cls.name}.{fn.name}": fn.name
+               for path in MODULES for cls in ast.walk(ast.parse(path.read_text()))
+               if isinstance(cls, ast.ClassDef)
+               for fn in cls.body if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and not fn.name.startswith("_")}
+    assert "Liouvillian.bordered_lu" in methods
+    read = _read(MODULES + PERFBENCH)
+    assert sorted(q for q, name in methods.items() if name not in read) == []

@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nanojunction import thermo
+from nanojunction import superop, thermo
 from nanojunction.model import ModelParams, regime_params
 from nanojunction.thermo import (
     BracketError,
@@ -39,6 +39,20 @@ def test_energy_flows_balance(method, regime):
     assert rep.M == M
     assert rep.eta_carnot == pytest.approx(0.9, rel=1e-12)
     assert not rep.carnot_violated
+
+
+@pytest.mark.parametrize("method", ["wcme", "rcme", "arcme"])
+def test_report_makes_one_solve_for_rho_and_one_for_the_noise(method, monkeypatch):
+    """Both right-hand sides are Hermitian, so each is one real LU solve."""
+    solve, calls = superop.sla.lu_solve, []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(superop.sla, "lu_solve", counting)
+    transport_report(regime_params(1, lam=30.0), method, 1, M=None if method == "wcme" else 6)
+    assert len(calls) == 2
 
 
 def test_weak_coupling_flows_are_tightly_coupled():
