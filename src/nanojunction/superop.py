@@ -354,9 +354,7 @@ def restricted_pseudo_inverse_apply(L: Liouvillian, ss: SteadyState, Y: np.ndarr
 
     Q projects out the stationary direction: Q Y = Y - rho_ss tr Y.  The
     counting right-hand sides are Hermitian (each lead's jump terms come in
-    adjoint pairs), and so is R Y.  The solve reuses the bordered LU; the
-    trace row pins tr(R Y) = 0.
+    adjoint pairs), and so is R Y.  The solve reuses the bordered LU, whose
+    trace row pins tr(R Y) = 0: it is R's output projection.
     """
-    rho = ss.rho
-    X = _bordered_solve(L, Y - rho * np.trace(Y), 0.0, ConvergenceFailure)
-    return X - rho * np.trace(X)
+    return _bordered_solve(L, Y - ss.rho * np.trace(Y), 0.0, ConvergenceFailure)

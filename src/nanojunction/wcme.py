@@ -17,7 +17,8 @@ that removes an electron (``fermi_half``); the factors of its adjoint, which
 adds one, are the adjoints of that pair.  A generator is ``coherent_terms`` +
 ``lead_terms`` + ``bosonic_dissipator_terms``; ``rc`` makes the same three
 calls on the augmented space of the reaction coordinate, with the residual
-Ohmic bath in place of J (ARCME lifts its bare-filtered lead factors).
+Ohmic bath in place of J (ARCME filters each lead at the bare energies and
+lifts its three removal factors; the adding factors stay their adjoints).
 
 Every term carries the bath it came from, and the lead sandwich terms also
 carry the signed number of electrons they move into that lead, so the same
@@ -77,18 +78,18 @@ def build_wcme_lead_dissipator(A_rem: np.ndarray, evals: np.ndarray, Gamma: floa
 
     ``A_rem`` removes an electron from the system into the lead; every term
     is on bath ``side``, and the sandwiches that move one electron into/out
-    of the lead carry ``jump`` +1 / -1.  ``lift`` maps every factor onto
-    another space before the products are formed, so trace preservation
-    survives a ``lift`` that is not multiplicative.
+    of the lead carry ``jump`` +1 / -1.  ``lift`` maps the three removal
+    factors onto another space before the products are formed, so trace
+    preservation survives a ``lift`` that is not multiplicative; the adding
+    factors are their adjoints (a ``lift`` X -> W^dag (X kron I) W commutes
+    with the adjoint).
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    A_add = A_rem.conj().T
     rem_chi, rem_phi = fermi_half(A_rem, evals, beta, mu)
-    add_chi, add_phi = rem_chi.conj().T, rem_phi.conj().T
     if lift is not None:
-        A_rem, A_add, rem_chi, rem_phi, add_chi, add_phi = map(
-            lift, (A_rem, A_add, rem_chi, rem_phi, add_chi, add_phi))
+        A_rem, rem_chi, rem_phi = map(lift, (A_rem, rem_chi, rem_phi))
+    A_add, add_chi, add_phi = A_rem.conj().T, rem_chi.conj().T, rem_phi.conj().T
     g = 0.5 * Gamma
     return [
         TaggedTerm(-g, left=A_rem @ add_chi, bath=side),

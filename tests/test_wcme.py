@@ -14,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+from nanojunction import rc
 from nanojunction.model import (
     ModelParams,
     build_lead_coupling_ops,
@@ -240,3 +241,33 @@ def test_lead_dissipator_stays_trace_preserving_under_a_compressing_lift():
                 @ (eye if t.left is None else t.left) for t in terms)
     assert len(terms) == 8 and total.shape == (k, k)
     assert np.max(np.abs(total)) <= 1e-15
+
+
+def test_arcme_lifts_each_lead_removal_factor_once_and_adds_by_adjoint(monkeypatch):
+    """ARCME lifts A_rem, rem_chi and rem_phi of each lead, plus its energy
+    operator: 7 lifts.  The adding factors are exact adjoints of the lifted
+    removal factors, since W^dag (X^dag kron 1) W = (W^dag (X kron 1) W)^dag."""
+    calls = []
+    lift = rc.AugmentedSystem.lift
+    monkeypatch.setattr(rc.AugmentedSystem, "lift",
+                        lambda self, A: calls.append(1) or lift(self, A))
+    p, M = regime_params(2, lam=30.0, U=0.8), 6
+    rc.assemble_rcme(p, M)
+    assert len(calls) == 2
+    calls.clear()
+    L = rc.assemble_arcme(p, M)
+    assert len(calls) == 7
+
+    aug = rc.build_augmented_hamiltonian(p, M)
+    evals = np.diag(build_system_hamiltonian(p)).real
+    for side, A, beta, mu in zip(("left", "right"), build_lead_coupling_ops(p),
+                                 (p.beta_L, p.beta_R), (p.mu_L, p.mu_R)):
+        rem_chi, rem_phi = fermi_half(A, evals, beta, mu)
+        A, rem_chi, rem_phi = aug.lift(A), aug.lift(rem_chi), aug.lift(rem_phi)
+        t_in, t_in_phi, t_out_chi, t_out = [t for t in L.terms if t.bath == side and t.jump]
+        assert np.array_equal(t_in.left, A) and np.array_equal(t_in_phi.left, rem_phi)
+        assert np.array_equal(t_out.right, rem_chi)
+        assert np.array_equal(t_in_phi.right, A.conj().T)
+        assert np.array_equal(t_in.right, rem_phi.conj().T)
+        assert np.array_equal(t_out_chi.left, rem_chi.conj().T)
+        assert np.array_equal(t_out.left, A.conj().T)
