@@ -9,8 +9,8 @@ Either an INI config, command-line flags, or both (flags win)::
 The INI sections are ``[sweep]`` (method, regime, sweep, from, to, points,
 log, out, workers), ``[rc]`` (levels, auto, start, step, tol, cap) and
 ``[model]`` (overrides for any model parameter field).  An unknown section
-or key, a value that does not parse (``log = maybe``) and an invalid regime
-or ``[model]`` value all exit 2 before anything is solved.
+or key, a value that does not parse (``log = maybe``, ``--points x``) and a
+bad regime, sweep or ``[model]`` value exit 2 before any solve, file or flag.
 
 Every (method, grid point) pair becomes one CSV row; rows for points whose
 solve fails keep their input columns, leave the outputs empty and are logged
@@ -202,35 +202,38 @@ def _bool(text: str) -> bool:
     return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
 
 
-# {section: {INI key: (field, parse)}}; [sweep] fields are SweepSpec's and the
-# argparse dests of their flags, [rc] fields RcSettings' (flags --rc-<field>)
+# {section: {INI key: (field, parse)}}, the one parser of an INI value or flag text;
+# [sweep] fields are SweepSpec's (flags --<key>), [rc] RcSettings' (--rc-<key>)
 SETTINGS = {
     "sweep": {"method": ("methods", _methods), "regime": ("regime", int),
               "sweep": ("swept", str), "from": ("start", float),
               "to": ("stop", float), "points": ("points", int),
               "log": ("log", _bool), "out": ("out", str),
               "workers": ("workers", int)},
-    "rc": {"levels": ("levels", int), "auto": ("auto", _bool),
-           "start": ("start", int), "step": ("step", int),
-           "tol": ("tol", float), "cap": ("cap", int)},
+    "rc": {"levels": ("levels", int), "auto": ("auto", _bool), "start": ("start", int),
+           "step": ("step", int), "tol": ("tol", float), "cap": ("cap", int)},
     "model": {name: (name, float) for name in MODEL_FIELDS},
 }
-_REQUIRED = ("methods", "regime", "swept", "start", "stop", "points")
+_REQUIRED = ("method", "regime", "sweep", "from", "to", "points")
 
 
 def _spec_from_sources(args) -> SweepSpec:
-    """Merge INI config (if any) under the command-line flags."""
+    """Lay the given flags' texts over the INI config's (if any) and parse them."""
     flags = dict(vars(args))   # only the flags given: the parser suppresses defaults
     cfg = configparser.ConfigParser()
     cfg.optionxform = str      # model keys like beta_R are case-sensitive
     if "config" in flags:
         with open(flags.pop("config")) as f:
             cfg.read_file(f)
+    texts = {section: dict(cfg[section]) for section in cfg.sections()}
+    for dest, text in flags.items():
+        section, key = ("rc", dest[3:]) if dest.startswith("rc_") else ("sweep", dest)
+        texts.setdefault(section, {})[key] = text
     values = {section: {} for section in SETTINGS}
-    for section in cfg.sections():
+    for section, entries in texts.items():
         if section not in SETTINGS:
             raise ValueError(f"unknown section [{section}]")
-        for key, text in cfg[section].items():
+        for key, text in entries.items():
             if key not in SETTINGS[section]:
                 raise ValueError(f"unknown key {key!r} in [{section}]")
             dest, parse = SETTINGS[section][key]
@@ -238,10 +241,7 @@ def _spec_from_sources(args) -> SweepSpec:
                 values[section][dest] = parse(text)
             except (ValueError, KeyError):
                 raise ValueError(f"bad value {text!r} for {key!r} in [{section}]") from None
-    for dest, v in flags.items():
-        section, name = ("rc", dest[3:]) if dest.startswith("rc_") else ("sweep", dest)
-        values[section][name] = v
-    missing = [k for k in _REQUIRED if k not in values["sweep"]]
+    missing = [k for k in _REQUIRED if k not in texts.get("sweep", {})]
     if missing:
         raise ValueError(f"missing required settings: {', '.join(missing)}")
     spec = SweepSpec(rc=RcSettings(**values["rc"]), model=values["model"],
@@ -256,20 +256,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Steady-state transport sweeps for the two-site junction.")
     ap.add_argument("config", nargs="?",
                     help="INI file with [sweep], [rc], [model] sections")
-    ap.add_argument("--method", dest="methods", type=_methods,
-                    help=f"comma-separated subset of {','.join(METHODS)}")
-    ap.add_argument("--regime", type=int, help="1 (hot left lead) or 2 (hot phonons)")
-    ap.add_argument("--sweep", dest="swept", choices=SWEPT, help="swept variable")
-    ap.add_argument("--from", dest="start", type=float, help="first grid value")
-    ap.add_argument("--to", dest="stop", type=float, help="last grid value (inclusive)")
-    ap.add_argument("--points", type=int, help="number of grid points")
-    ap.add_argument("--log", action="store_true",
+    ap.add_argument("--method", help=f"comma-separated subset of {','.join(METHODS)}")
+    ap.add_argument("--regime", help="1 (hot left lead) or 2 (hot phonons)")
+    ap.add_argument("--sweep", help=f"swept variable, one of {','.join(SWEPT)}")
+    ap.add_argument("--from", help="first grid value")
+    ap.add_argument("--to", help="last grid value (inclusive)")
+    ap.add_argument("--points", help="number of grid points")
+    ap.add_argument("--log", action="store_const", const="true",
                     help="logarithmic grid instead of linear")
-    ap.add_argument("--rc-levels", type=int, help="fixed Fock truncation M")
-    ap.add_argument("--rc-auto", action="store_true",
+    ap.add_argument("--rc-levels", help="fixed Fock truncation M")
+    ap.add_argument("--rc-auto", action="store_const", const="true",
                     help="choose M per point by the convergence ladder")
     ap.add_argument("--out", help="CSV output path (default sweep.csv)")
-    ap.add_argument("--workers", type=int, help="parallel worker processes, each with "
+    ap.add_argument("--workers", help="parallel worker processes, each with "
                     "SciPy's full BLAS pool: keep workers x BLAS threads <= cores")
     return ap
 

@@ -44,14 +44,17 @@ def mean_current(L: Liouvillian, ss: SteadyState, side: str = "right") -> float:
 
 
 def zero_frequency_noise(L: Liouvillian, ss: SteadyState, side: str = "right") -> float:
-    """Zero-frequency noise c2 of the counted transfer at the given lead."""
+    """Zero-frequency noise c2 of the counted transfer at a lead; ValueError if < -1e-10."""
     tp, tm = _jumps(L, side)
     jp = apply_terms(tp, ss.rho)
     jm = apply_terms(tm, ss.rho)
     self_term = np.trace(jp + jm).real
     y = restricted_pseudo_inverse_apply(L, ss, jp - jm)
     corr = (np.trace(apply_terms(tp, y)) - np.trace(apply_terms(tm, y))).real
-    return float(self_term - 2.0 * corr)
+    c2 = float(self_term - 2.0 * corr)
+    if c2 < -1e-10:
+        raise ValueError(f"zero-frequency noise is negative: c2 = {c2:.3e}")
+    return c2
 
 
 @dataclass(frozen=True)
@@ -63,10 +66,6 @@ class Cumulants:
     c1: float
     c2: float
     upsilon: float | None
-
-    def __post_init__(self):
-        if self.c2 < -1e-10:
-            raise ValueError(f"zero-frequency noise is negative: c2 = {self.c2:.3e}")
 
 
 def cumulants(L: Liouvillian, ss: SteadyState, side: str = "right") -> Cumulants:

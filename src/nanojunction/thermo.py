@@ -135,7 +135,8 @@ def bisect_root(f, a: float, b: float, tol: float = 1e-8) -> float:
 
 
 def default_bracket(p: ModelParams) -> float:
-    """Generous upper bracket for the stopping voltage, 5 Delta eta_carnot."""
+    """Stopping-voltage bracket 5 Delta (1 - beta_hot/beta_cold) over all three baths;
+    it is 5 Delta eta_carnot only at ``regime_params``-style points."""
     beta_cold = max(p.beta_L, p.beta_R, p.beta_ph)
     beta_hot = min(p.beta_L, p.beta_R, p.beta_ph)
     return 5.0 * p.Delta * (beta_cold - beta_hot) / beta_cold

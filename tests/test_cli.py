@@ -277,6 +277,8 @@ def test_manifest_is_strict_json_with_an_infinite_U(tmp_path):
 
 def test_bad_invocations_exit_2(tmp_path, capsys):
     assert main([]) == 2                                  # nothing specified
+    assert ("missing required settings: method, regime, sweep, from, to, points"
+            in capsys.readouterr().err)                   # named as INI keys and flags
     assert main(["--method", "secular", "--regime", "2", "--sweep", "V",
                  "--from", "0", "--to", "1", "--points", "2"]) == 2
     assert main(["--method", "wcme", "--regime", "2", "--sweep", "M",
@@ -304,6 +306,34 @@ def test_bad_invocations_exit_2(tmp_path, capsys):
         assert main([str(ini)] + bias) == 2, text
         assert named in capsys.readouterr().err
         assert not (tmp_path / "b.csv").exists()          # no point was solved
+
+
+def test_bad_flag_values_exit_2_like_the_file(tmp_path, capsys):
+    """A flag's text goes through its INI key's parser: one ``error:`` line naming
+    the key, exit 2, no SystemExit and no CSV, the same message as from a file."""
+    out = tmp_path / "b.csv"
+    flags = {"--method": "wcme", "--regime": "2", "--sweep": "V", "--from": "0",
+             "--to": "0.1", "--points": "2"}
+    ini = tmp_path / "bad.ini"
+    for flag, text, section, key in [("--regime", "two", "sweep", "regime"),
+                                     ("--points", "x", "sweep", "points"),
+                                     ("--rc-levels", "x", "rc", "levels"),
+                                     ("--sweep", "volts", "sweep", "sweep")]:
+        rest = [a for f, v in flags.items() if f != flag for a in (f, v)]
+        rest += ["--out", str(out)]
+        capsys.readouterr()
+        assert main(rest + [flag, text]) == 2, flag
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and key in err[0], err
+        ini.write_text(f"[{section}]\n{key} = {text}\n")
+        assert main([str(ini)] + rest) == 2, flag
+        assert capsys.readouterr().err.splitlines() == err
+        assert not out.exists()
+
+    odd = tmp_path / "a%b.csv"                            # no %-interpolation of flags
+    assert main([a for f, v in flags.items() for a in (f, v)] + ["--out", str(odd)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "a%b.csv", "a%b.csv.manifest.json", "bad.ini"]
 
 
 def test_unsolvable_points_fail_soft(tmp_path, capsys):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from counting_oracle import OracleError, _eigenvalue_slope, counting_field_oracle
+from nanojunction import fcs
 from nanojunction.fcs import (
     Cumulants,
     cumulants,
@@ -96,9 +97,19 @@ def test_oracle_rejects_defective_generator():
                           np.array([0.0, 1.0], dtype=complex), 3)
 
 
-def test_negative_noise_rejected():
-    with pytest.raises(ValueError):
-        Cumulants(c1=1.0, c2=-1e-8, upsilon=None)
+def test_negative_noise_rejected(monkeypatch):
+    """zero_frequency_noise checks its own sign: a tenfold R J(rho) term turns the
+    resonant level's c2 = c1/2 negative, and a direct call raises."""
+    L = _single_level(0.3, 0.3)
+    ss = steady_state(L)
+    real = fcs.restricted_pseudo_inverse_apply
+    monkeypatch.setattr(fcs, "restricted_pseudo_inverse_apply",
+                        lambda L, ss, y: 10.0 * real(L, ss, y))
+    with pytest.raises(ValueError, match="noise is negative"):
+        zero_frequency_noise(L, ss)
+    with pytest.raises(ValueError, match="noise is negative"):
+        cumulants(L, ss)
+    assert Cumulants(c1=1.0, c2=-1e-8, upsilon=None).c2 == -1e-8   # a plain record
 
 
 def test_equilibrium_ratios_are_undefined():
