@@ -18,7 +18,7 @@ voltage.
 
 __version__ = "0.1.0"
 
-from .fcs import Cumulants, cumulants, mean_current, zero_frequency_noise
+from .fcs import cumulants, mean_current, zero_frequency_noise
 from .model import ModelParams
 from .model import drude_lorentz, fermi, regime_params
 from .rc import AugmentedSystem, LadderCertificate
@@ -32,7 +32,7 @@ from .thermo import converge_report, energy_currents, stopping_voltage, transpor
 from .wcme import assemble_wcme
 
 __all__ = [
-    "AugmentedSystem", "BracketError", "ConvergenceFailure", "Cumulants",
+    "AugmentedSystem", "BracketError", "ConvergenceFailure",
     "LadderCertificate", "Liouvillian", "ModelParams",
     "NonUniqueSteadyState", "Space", "SteadyState", "TaggedTerm",
     "TransportReport", "assemble_arcme", "assemble_rcme", "assemble_wcme",

@@ -8,9 +8,11 @@ Either an INI config, command-line flags, or both (flags win)::
 
 The INI sections are ``[sweep]`` (method, regime, sweep, from, to, points,
 log, out, workers), ``[rc]`` (levels, auto, start, step, tol, cap) and
-``[model]`` (overrides for any model parameter field).  An unknown section
-or key, a value that does not parse (``log = maybe``, ``--points x``) and a
-bad regime, sweep or ``[model]`` value exit 2 before any solve, file or flag.
+``[model]`` (overrides for any model parameter field), read as written (no
+``%`` interpolation).  Every usage error (an unknown flag, section or key, a
+flag without its value, a value that does not parse such as ``--points x``,
+a bad regime, sweep or model value) prints one ``error:`` line and exits 2
+before any solve.
 
 Every (method, grid point) pair becomes one CSV row; rows for points whose
 solve fails keep their input columns, leave the outputs empty and are logged
@@ -220,7 +222,7 @@ _REQUIRED = ("method", "regime", "sweep", "from", "to", "points")
 def _spec_from_sources(args) -> SweepSpec:
     """Lay the given flags' texts over the INI config's (if any) and parse them."""
     flags = dict(vars(args))   # only the flags given: the parser suppresses defaults
-    cfg = configparser.ConfigParser()
+    cfg = configparser.ConfigParser(interpolation=None)
     cfg.optionxform = str      # model keys like beta_R are case-sensitive
     if "config" in flags:
         with open(flags.pop("config")) as f:
@@ -250,8 +252,13 @@ def _spec_from_sources(args) -> SweepSpec:
     return spec
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):   # usage errors exit 2 from main like bad values
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="nanojunction", argument_default=argparse.SUPPRESS,
         description="Steady-state transport sweeps for the two-site junction.")
     ap.add_argument("config", nargs="?",
@@ -274,9 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        spec = _spec_from_sources(args)
+        spec = _spec_from_sources(build_parser().parse_args(argv))
     except (ValueError, OSError, configparser.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -15,8 +15,6 @@ positive), so left- and right-counted values agree in steady state.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .superop import Liouvillian, SteadyState, apply_terms, restricted_pseudo_inverse_apply
@@ -57,19 +55,6 @@ def zero_frequency_noise(L: Liouvillian, ss: SteadyState, side: str = "right") -
     return c2
 
 
-@dataclass(frozen=True)
-class Cumulants:
-    """First two counted cumulants and upsilon = c2/c1^2, the squared relative
-    uncertainty per unit time, left unset when the mean current is
-    numerically zero."""
-
-    c1: float
-    c2: float
-    upsilon: float | None
-
-
-def cumulants(L: Liouvillian, ss: SteadyState, side: str = "right") -> Cumulants:
-    """Mean current and noise at a lead, packaged with upsilon."""
-    c1 = mean_current(L, ss, side)
-    c2 = zero_frequency_noise(L, ss, side)
-    return Cumulants(c1=c1, c2=c2, upsilon=c2 / c1**2 if abs(c1) > 1e-12 else None)
+def cumulants(L: Liouvillian, ss: SteadyState, side: str = "right") -> tuple[float, float]:
+    """(c1, c2) at a lead; ``thermo.transport_report`` forms upsilon = c2/c1^2."""
+    return mean_current(L, ss, side), zero_frequency_noise(L, ss, side)

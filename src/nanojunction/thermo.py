@@ -66,10 +66,10 @@ def carnot_efficiency(p: ModelParams, regime: int) -> float:
 class TransportReport:
     """One operating point: cumulants, energy flows and engine figures.
 
-    ``eta`` and ``upsilon`` are ``None`` where undefined (no heat intake /
-    no mean current).  ``carnot_violated`` records eta > eta_carnot without
-    erring: the additive method really does produce such points, and they
-    are data, not exceptions.
+    ``upsilon`` = c2/c1^2, set by ``transport_report``, is ``None`` for
+    |c1| <= 1e-12 and ``eta`` without heat intake.  ``carnot_violated`` records
+    eta > eta_carnot without erring: the additive method really does produce
+    such points, and they are data, not exceptions.
     """
 
     params: ModelParams
@@ -97,15 +97,16 @@ def transport_report(p: ModelParams, method: str, regime: int,
     eta_c = carnot_efficiency(p, regime)   # rejects a bad regime before any build
     L = build_generator(p, method, M)
     ss = steady_state(L)
-    cum = cumulants(L, ss)
+    c1, c2 = cumulants(L, ss)
     IE_L, IE_R, IE_ph = energy_currents(L, ss)
-    P = p.V * cum.c1
-    Q_in = IE_L - p.mu_L * cum.c1 if regime == 1 else IE_ph
+    upsilon = c2 / c1**2 if abs(c1) > 1e-12 else None
+    P = p.V * c1
+    Q_in = IE_L - p.mu_L * c1 if regime == 1 else IE_ph
     eta = P / Q_in if Q_in > 0.0 else None
     violated = eta is not None and eta > eta_c + 1e-12
     return TransportReport(params=p, method=method, regime=regime,
                            M=None if method == "wcme" else M,
-                           c1=cum.c1, c2=cum.c2, upsilon=cum.upsilon, P=P,
+                           c1=c1, c2=c2, upsilon=upsilon, P=P,
                            IE_L=IE_L, IE_R=IE_R, IE_ph=IE_ph, Q_in=Q_in,
                            eta=eta, eta_carnot=eta_c, carnot_violated=violated,
                            converged=True, residual=ss.residual)

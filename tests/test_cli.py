@@ -330,10 +330,29 @@ def test_bad_flag_values_exit_2_like_the_file(tmp_path, capsys):
         assert capsys.readouterr().err.splitlines() == err
         assert not out.exists()
 
-    odd = tmp_path / "a%b.csv"                            # no %-interpolation of flags
-    assert main([a for f, v in flags.items() for a in (f, v)] + ["--out", str(odd)]) == 0
-    assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "a%b.csv", "a%b.csv.manifest.json", "bad.ini"]
+    odd = tmp_path / "a%b.csv"                            # no %-interpolation of either
+    given = [a for f, v in flags.items() for a in (f, v)]
+    ini.write_text(f"[sweep]\nout = {odd}\n")
+    for argv in (given + ["--out", str(odd)], [str(ini)] + given):
+        odd.unlink(missing_ok=True)
+        assert main(argv) == 0, argv
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "a%b.csv", "a%b.csv.manifest.json", "bad.ini"]
+
+
+def test_usage_errors_return_2(tmp_path, capsys, monkeypatch):
+    """A flag without its value, an unknown flag or a second positional prints one
+    ``error:`` line and returns 2 from ``main``, like a bad value; -h still exits 0."""
+    monkeypatch.chdir(tmp_path)
+    for argv in (["--points"], ["--bogus"], ["x.ini", "y.ini"]):
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+    assert list(tmp_path.iterdir()) == []                 # no CSV, no manifest
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
 
 
 def test_unsolvable_points_fail_soft(tmp_path, capsys):
