@@ -33,7 +33,6 @@ import configparser
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -165,6 +164,7 @@ def run_sweep(spec: SweepSpec):
     """All rows in deterministic order plus the per-point failure messages."""
     tasks = [(spec, method, float(x)) for method in spec.methods for x in spec.grid()]
     if spec.workers > 1:
+        from concurrent.futures import ProcessPoolExecutor   # a serial sweep never loads it
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
             results = list(pool.map(_solve_point, tasks))
     else:

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
-from scipy.special import expit
 
 
 @dataclass(frozen=True)
@@ -158,5 +157,6 @@ def drude_lorentz(p: ModelParams, omega):
 
 
 def fermi(beta: float, mu: float, omega):
-    """Fermi-Dirac occupation f = 1/(exp(beta*(omega-mu)) + 1), overflow-safe."""
-    return expit(-beta * (np.asarray(omega, dtype=float) - mu))
+    """Fermi-Dirac occupation f = 1/(exp(beta*(omega-mu)) + 1), exactly 0 where exp overflows."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(beta * (np.asarray(omega, dtype=float) - mu)))

@@ -116,6 +116,8 @@ def bisect_root(f, a: float, b: float, tol: float = 1e-8) -> float:
     """Plain bisection for a decreasing sign change of f on [a, b], 200 steps at most."""
     if tol <= 0:
         raise ValueError(f"bisection tolerance must be positive, got {tol!r}")
+    if not a < b:
+        raise BracketError(f"bracket [{a}, {b}] is empty")
     fa, fb = f(a), f(b)
     if fa <= 0.0:
         raise BracketError(f"f({a}) = {fa:.3e} is not positive at the lower bracket")

@@ -2,10 +2,15 @@
 
 No module imports a name it never uses, the package ``__init__`` imports
 exactly the names it exports in ``__all__``, every exported name is read
-by another package module or by the benchmark in ``perfbench/``, and so is
-every public method of a package class.
+by another package module or by the benchmark in ``perfbench/``, and every
+public method of a package class is called there.  Importing the package
+and its CLI loads neither ``scipy.special`` nor the process pool.
 """
 import ast
+import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -67,12 +72,45 @@ def test_every_exported_name_is_read_outside_init():
     assert sorted(set(nanojunction.__all__) - read) == []
 
 
+def _called(paths) -> set:
+    """Attributes the files call, as in ``x.<name>(...)``."""
+    return {node.func.attr for path in paths for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}
+
+
+def _overrides_foreign_base(module: str, cls: str, name: str) -> bool:
+    """Whether the method overrides one of a base class outside the package,
+    which then calls it (argparse calls ``_Parser.error``)."""
+    bases = getattr(importlib.import_module(f"nanojunction.{module}"), cls).__mro__[1:]
+    return any(name in vars(b) for b in bases if not b.__module__.startswith("nanojunction"))
+
+
 def test_every_public_method_is_called_by_the_package_or_perfbench():
-    methods = {f"{cls.name}.{fn.name}": fn.name
+    """A method counts only where some ``x.<name>(...)`` call exists, a property
+    where the attribute is read: a field of the same name does not count."""
+    methods = {(path.stem, cls.name, fn.name):
+               any(isinstance(d, ast.Name) and d.id == "property" for d in fn.decorator_list)
                for path in MODULES for cls in ast.walk(ast.parse(path.read_text()))
                if isinstance(cls, ast.ClassDef)
                for fn in cls.body if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
                and not fn.name.startswith("_")}
-    assert "Liouvillian.bordered_lu" in methods
-    read = _read(MODULES + PERFBENCH)
-    assert sorted(q for q, name in methods.items() if name not in read) == []
+    assert methods[("superop", "Liouvillian", "bordered_lu")] is False
+    assert methods[("model", "ModelParams", "V")] is True
+    read, called = _read(MODULES + PERFBENCH), _called(MODULES + PERFBENCH)
+    unused = [f"{cls}.{name}" for (module, cls, name), prop in methods.items()
+              if name not in (read if prop else called)
+              and not _overrides_foreign_base(module, cls, name)]
+    assert sorted(unused) == []
+
+
+def test_import_loads_neither_scipy_special_nor_the_process_pool():
+    """SciPy serves only the LU, and only ``--workers`` > 1 loads the pool."""
+    src = str(Path(nanojunction.__file__).parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, nanojunction, nanojunction.cli\n"
+            "print(*sorted({'scipy.special', 'concurrent.futures.process',"
+            " 'multiprocessing'} & set(sys.modules)))")
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert res.stdout.split() == []

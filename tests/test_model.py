@@ -1,5 +1,6 @@
 """Unit checks for the electronic model, coupling operators and bath functions."""
 import math
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -125,6 +126,14 @@ def test_drude_lorentz_domain():
         drude_lorentz(p, np.array([1.0, -2.0]))
 
 
+def _fermi_reference(x: float) -> float:
+    """1/(1 + e^x) with the C library's exp; 0 where e^x exceeds the largest double."""
+    try:
+        return 1.0 / (1.0 + math.exp(x))
+    except OverflowError:
+        return 0.0
+
+
 def test_fermi_stability_and_particle_hole():
     assert 0.0 <= fermi(1.0, 0.0, 700.0) < 1e-300
     assert fermi(1.0, 0.0, -700.0) == 1.0
@@ -135,3 +144,12 @@ def test_fermi_stability_and_particle_hole():
         mu = rng.normal(scale=3.0)
         x = rng.normal(scale=5.0)
         assert fermi(beta, mu, mu + x) + fermi(beta, mu, mu - x) == pytest.approx(1.0, abs=1e-14)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")     # exp's overflow gives exactly 0 and no RuntimeWarning
+        assert fermi(1.0, 0.0, 800.0) == 0.0
+        assert fermi(1.0, 0.0, -800.0) == 1.0
+        for beta, mu in ((1.0, 0.0), (0.1, 0.3), (20.0, -1.5)):
+            omega = mu + np.linspace(-740.0, 740.0, 2961) / beta
+            want = [_fermi_reference(beta * (w - mu)) for w in omega]
+            np.testing.assert_allclose(fermi(beta, mu, omega), want, rtol=1e-14, atol=0.0)
+

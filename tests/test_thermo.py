@@ -197,6 +197,10 @@ def test_bisection_on_closed_form():
         bisect_root(lambda x: -1.0 - x, 0.0, 2.0)
     with pytest.raises(BracketError):
         bisect_root(lambda x: 1.0 + x, 0.0, 2.0)
+    calls = []                 # a reversed bracket is refused before f is evaluated
+    with pytest.raises(BracketError, match=r"\[-5.0, -10.0\] is empty"):
+        bisect_root(lambda V: calls.append(V) or V + 7.0, -5.0, -10.0)
+    assert calls == []
 
 
 def test_equilibrium_has_no_stopping_voltage():
