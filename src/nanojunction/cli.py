@@ -106,7 +106,7 @@ class SweepSpec:
 
     def grid(self) -> np.ndarray:
         if self.log:
-            return np.logspace(np.log10(self.start), np.log10(self.stop), self.points)
+            return np.geomspace(self.start, self.stop, self.points)
         return np.linspace(self.start, self.stop, self.points)
 
 

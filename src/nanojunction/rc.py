@@ -96,8 +96,8 @@ def build_augmented_hamiltonian(p: ModelParams, M: int) -> AugmentedSystem:
 
     A restricted space over ``MAX_RESTRICTED_DIM`` raises before H' is built.
     """
-    if M < 1:
-        raise ValueError(f"Fock truncation M must be at least 1, got {M}")
+    if not isinstance(M, (int, np.integer)) or M < 1:
+        raise ValueError(f"Fock truncation M must be an integer of at least 1, got {M}")
     space = Space(sector_labels(p, M))
     if space.n > MAX_RESTRICTED_DIM:
         raise ConvergenceFailure(

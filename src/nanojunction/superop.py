@@ -27,6 +27,10 @@ stacked factor blocks of the terms that reach the pair (identity factors
 reach only the diagonal pairs), added in place through slices of the
 buffer, so assembly holds one pair's stacked blocks and two tile arrays.
 
+A failed solve names its cause: ``NonUniqueSteadyState`` comes only from the
+pivot test of ``Liouvillian.bordered_lu`` (a degenerate stationary space), and
+a non-finite solve or a failed certificate is a ``ConvergenceFailure``.
+
 Importing this module sets NumPy's bundled OpenBLAS to one thread when SciPy
 links its own, so that NumPy's idle workers do not spin on the LU's cores.
 """
@@ -75,7 +79,7 @@ class NonUniqueSteadyState(Exception):
 
 
 class ConvergenceFailure(Exception):
-    """A solve finished but its certificate failed the requested tolerance."""
+    """A solve returned non-finite entries or its certificate failed its bound."""
 
 
 class Space:
@@ -292,8 +296,7 @@ class Liouvillian:
         du = np.abs(np.diag(self._lu[0]))
         if du.min() <= len(du) * np.finfo(float).eps * du.max():
             raise NonUniqueSteadyState(
-                "stationary space is degenerate (singular bordered system)"
-            )
+                "stationary space is degenerate (singular bordered system)")
         return self._lu
 
 
@@ -306,13 +309,13 @@ class SteadyState:
     min_population: float
 
 
-def _bordered_solve(L: Liouvillian, Y: np.ndarray, trace: float, error: type) -> np.ndarray:
+def _bordered_solve(L: Liouvillian, Y: np.ndarray, trace: float) -> np.ndarray:
     """Hermitian X from [[L, t^T], [t, 0]] [X; s] = [H; trace], H the Hermitian
     part of Y: one real solve with the cached LU."""
     sp = L.space
     x = sla.lu_solve(L.bordered_lu(), np.append(sp.to_real(Y), trace), check_finite=False)[:-1]
     if not np.all(np.isfinite(x)):
-        raise error("bordered solve returned non-finite entries")
+        raise ConvergenceFailure("bordered solve returned non-finite entries")
     return sp.from_real(x)
 
 
@@ -320,12 +323,12 @@ def steady_state(L: Liouvillian) -> SteadyState:
     """Solve L(rho) = 0 with unit trace via the bordered system.
 
     Raises ``NonUniqueSteadyState`` when the stationary direction is
-    degenerate and ``ConvergenceFailure`` when the residual certificate
-    ``max|L(rho)|`` (L applied from its terms) exceeds ``RESIDUAL_TOL`` or
-    populations go below -1e-3.
+    degenerate and ``ConvergenceFailure`` when the solve returns non-finite
+    entries, the residual certificate ``max|L(rho)|`` (L applied from its
+    terms) exceeds ``RESIDUAL_TOL`` or populations go below -1e-3.
     """
     d = L.space.dim
-    rho = _bordered_solve(L, np.zeros((d, d)), 1.0, NonUniqueSteadyState)
+    rho = _bordered_solve(L, np.zeros((d, d)), 1.0)
     tr = np.trace(rho).real
     if abs(tr) < 1e-300:
         raise ConvergenceFailure("steady-state trace vanished")
@@ -357,4 +360,4 @@ def restricted_pseudo_inverse_apply(L: Liouvillian, ss: SteadyState, Y: np.ndarr
     adjoint pairs), and so is R Y.  The solve reuses the bordered LU, whose
     trace row pins tr(R Y) = 0: it is R's output projection.
     """
-    return _bordered_solve(L, Y - ss.rho * np.trace(Y), 0.0, ConvergenceFailure)
+    return _bordered_solve(L, Y - ss.rho * np.trace(Y), 0.0)

@@ -4,10 +4,9 @@ report at a Fock cutoff certified on its mean current.
 Sign convention: every energy current is the flow *into* the system from the
 named environment, IE_X = tr(E D_X rho_ss), so in steady state the three
 contributions sum to zero.  ``E`` is the generator's bookkeeping Hamiltonian:
-the full dynamical one for the non-additive method, the bare electronic one
-for the additive methods (whose lead channels neither see nor dress the
-mode, so their energy quanta are the bare addition energies; the phonon flow
-is then fixed by energy balance).
+the coherent one for WCME and RCME, which trace all three flows, so their sum
+is a real check; the bare electronic one for ARCME, whose lead channels
+neither see nor dress the mode and whose phonon flow is fixed by energy balance.
 
 The machine is judged as an engine: output power P = V * c1 against the heat
 drawn from the hot resource (hot left lead in regime 1, hot phonons in
@@ -40,10 +39,8 @@ def bath_energy_current(L: Liouvillian, ss: SteadyState, bath: str) -> float:
 def energy_currents(L: Liouvillian, ss: SteadyState):
     """(IE_L, IE_R, IE_ph) with the method's bookkeeping.
 
-    For the additive methods the lead channels carry sharp bare energies and
-    the phonon intake follows from steady-state energy balance; the
-    non-additive method gets all three from independent traces (their sum
-    vanishing is then a real check, not an identity).
+    WCME and RCME trace all three flows, so their vanishing sum is a real
+    check, not an identity; ARCME takes the phonon flow from energy balance.
     """
     IE_L = bath_energy_current(L, ss, "left")
     IE_R = bath_energy_current(L, ss, "right")

@@ -36,6 +36,8 @@ def test_grid_endpoints_inclusive():
     log = _spec(start=0.1, stop=1000.0, points=5, log=True).grid()
     assert log[0] == pytest.approx(0.1) and log[-1] == pytest.approx(1000.0)
     assert np.allclose(np.diff(np.log(log)), np.log(10.0))
+    log = _spec(start=3.0, stop=300.0, points=9, log=True).grid()
+    assert log[0] == 3.0 and log[-1] == 300.0
 
 
 def test_point_params_routes_the_swept_variable():

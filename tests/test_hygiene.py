@@ -72,10 +72,40 @@ def test_every_exported_name_is_read_outside_init():
     assert sorted(set(nanojunction.__all__) - read) == []
 
 
+def _foreign_results(tree: ast.Module, ours: set) -> set:
+    """Names the file binds to what a call into a module outside ``ours``
+    returns, as ``ap`` in ``ap = argparse.ArgumentParser()``."""
+    foreign, bound = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            foreign |= {a.asname or a.name.split(".")[0] for a in node.names
+                        if a.name.split(".")[0] not in ours}
+        elif (isinstance(node, ast.ImportFrom) and not node.level
+              and node.module.split(".")[0] not in ours):
+            foreign |= {a.asname or a.name for a in node.names}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+            root = node.value.func
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in foreign:
+                bound |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+    return bound
+
+
 def _called(paths) -> set:
-    """Attributes the files call, as in ``x.<name>(...)``."""
-    return {node.func.attr for path in paths for node in ast.walk(ast.parse(path.read_text()))
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}
+    """Attributes the files call, as in ``x.<name>(...)``, but not on an ``x``
+    that holds an object of a module outside the package and these files."""
+    ours = {"nanojunction"} | {p.stem for p in paths}
+    called = set()
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        foreign = _foreign_results(tree, ours)
+        called |= {node.func.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                   and not (isinstance(node.func.value, ast.Name)
+                            and node.func.value.id in foreign)}
+    return called
 
 
 def _overrides_foreign_base(module: str, cls: str, name: str) -> bool:

@@ -49,8 +49,9 @@ def test_fock_cutoff_below_one_is_refused_before_building(monkeypatch):
     for build in (build_augmented_hamiltonian, assemble_rcme, assemble_arcme,
                   lambda p, M: build_generator(p, "rcme", M),
                   lambda p, M: build_generator(p, "arcme", M)):
-        with pytest.raises(ValueError, match="M must be at least 1"):
-            build(p, 0)
+        for M in (0, 10.0, 6.5):
+            with pytest.raises(ValueError, match="M must be an integer of at least 1"):
+                build(p, M)
     assert built == []
 
 

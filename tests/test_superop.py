@@ -327,6 +327,17 @@ def test_residual_tolerance_enforced(monkeypatch):
         steady_state(L)
 
 
+def test_non_finite_solve_is_a_convergence_failure():
+    """A NaN coefficient passes the pivot test: the blown-up solve is a
+    failure, not a degenerate stationary space."""
+    down = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    terms = _lindblad_terms(down) + _lindblad_terms(down.T)
+    terms[0].coef = np.nan
+    L = Liouvillian(space=Space(np.zeros(2)), terms=terms)
+    with pytest.raises(ConvergenceFailure, match="non-finite"):
+        steady_state(L)
+
+
 # Both pools' thread counts, read through the extension modules that link them
 # (the getters of the OpenBLAS builds bundled in the NumPy and SciPy wheels).
 _READ_POOLS = """
