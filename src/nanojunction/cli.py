@@ -92,8 +92,9 @@ class SweepSpec:
             raise ValueError("log grids need positive endpoints")
         if self.swept == "M" and ("wcme" in self.methods or self.rc.auto):
             raise ValueError("sweeping M needs a fixed Fock truncation (no wcme, no rc auto)")
-        if self.swept == "M" and self.grid().min() < 1:
-            raise ValueError("Fock truncations M must be at least 1")
+        M = self.grid()   # an M sweep solves each level once, to its own row
+        if self.swept == "M" and (M.min() < 1 or np.any(M % 1) or len(set(M)) < len(M)):
+            raise ValueError(f"Fock truncations M must be distinct integers >= 1, got {M}")
         if self.rc.levels < 1:
             raise ValueError("rc levels must be at least 1")
         check_ladder(self.rc.start, self.rc.step, self.rc.tol, self.rc.cap)
@@ -152,7 +153,7 @@ def _solve_point(task) -> tuple:
                                      step=spec.rc.step, tol=spec.rc.tol, cap=spec.rc.cap)
         else:
             if method != "wcme":
-                M = int(round(x)) if spec.swept == "M" else spec.rc.levels
+                M = int(x) if spec.swept == "M" else spec.rc.levels
             rep = transport_report(p, method, spec.regime, M=M)
         return _row(spec, method, p, rep.M, rep), None
     except Exception as exc:  # logged per point; the sweep must go on

@@ -19,16 +19,19 @@ only in which Hamiltonian's transition frequencies filter the leads:
   lifted onto the augmented space (strictly additive rates).
 
 ``build_generator`` is the one registry of methods (``METHODS``): it builds
-the weak-coupling generator or either of these by name.  Mode-space
-truncation is handled by ``converge_in_levels``, which walks the Fock cutoff
-upward and certifies (or honestly refuses to certify) relative convergence
-of an observable; ``check_ladder`` is the one rule for its settings, and
-``thermo.converge_report`` walks it on each level's report.
+the weak-coupling generator or either of these by name.  No chemical
+potential enters H' or any RC term but the right lead's, so a one-entry memo
+keyed by (p.with_bias(0), method, M) keeps the rest of the last line built,
+read-only, and each build on that line makes only the right lead at p.mu_R.
+Mode-space truncation is handled by ``converge_in_levels``, which walks the
+Fock cutoff upward and certifies (or honestly refuses to certify) relative
+convergence of an observable; ``check_ladder`` is the one rule for its
+settings, and ``thermo.converge_report`` walks it on each level's report.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -41,7 +44,7 @@ from .model import (
     states,
 )
 from .superop import ConvergenceFailure, Liouvillian, Space, coherent_terms
-from .wcme import assemble_wcme, bosonic_dissipator_terms, lead_terms
+from .wcme import assemble_wcme, bosonic_dissipator_terms, build_wcme_lead_dissipator
 
 # The registered master equations.  Every method but "wcme" puts the
 # reaction coordinate into the system and needs a Fock cutoff M.
@@ -91,11 +94,8 @@ class AugmentedSystem:
         return self.rotate(np.kron(A, np.eye(self.M)))
 
 
-def build_augmented_hamiltonian(p: ModelParams, M: int) -> AugmentedSystem:
-    """H' = H_el + lam s^2 + kappa s (a + a^dag) + Omega a^dag a, diagonalized.
-
-    A restricted space over ``MAX_RESTRICTED_DIM`` raises before H' is built.
-    """
+def _restricted_space(p: ModelParams, M: int) -> Space:
+    """The charge x parity ``Space`` of H' at cutoff M, after the M check and the dense guard."""
     if not isinstance(M, (int, np.integer)) or M < 1:
         raise ValueError(f"Fock truncation M must be an integer of at least 1, got {M}")
     space = Space(sector_labels(p, M))
@@ -103,6 +103,15 @@ def build_augmented_hamiltonian(p: ModelParams, M: int) -> AugmentedSystem:
         raise ConvergenceFailure(
             f"restricted dimension {space.n} exceeds the dense-solver guard "
             f"({MAX_RESTRICTED_DIM}); lower the Fock truncation M={M}")
+    return space
+
+
+def build_augmented_hamiltonian(p: ModelParams, M: int) -> AugmentedSystem:
+    """H' = H_el + lam s^2 + kappa s (a + a^dag) + Omega a^dag a, diagonalized.
+
+    A bad M or a restricted space over ``MAX_RESTRICTED_DIM`` raises first.
+    """
+    space = _restricted_space(p, M)
     Hel = build_system_hamiltonian(p)
     s = build_phonon_coupling_op(p)
     a = ladder_op(M)
@@ -129,14 +138,38 @@ def build_rate_operators(aug: AugmentedSystem, p: ModelParams):
                                     p.gamma / (2.0 * np.pi * p.omega0), p.beta_ph)
 
 
+@lru_cache(maxsize=1)
+def _bias_free(p0: ModelParams, method: str, M: int) -> tuple:
+    """An RC generator's bias-free part, read-only: (space, terms before the right
+    lead, its removal operator, filter energies and lift, terms after it, energy_op)."""
+    aug = build_augmented_hamiltonian(p0, M)
+    Hd = np.diag(aug.evals).astype(complex)
+    A1, A3 = build_lead_coupling_ops(p0)
+    if method == "rcme":   # leads filtered at the frequencies of H'
+        A1, A3, evals, lift, E = aug.lift(A1), aug.lift(A3), aug.evals, None, Hd
+    else:   # at the bare ones, and the filtered factors lifted
+        Hel = build_system_hamiltonian(p0)
+        evals, lift, E = np.diag(Hel).real, aug.lift, aug.lift(Hel)
+    left = build_wcme_lead_dissipator(A1, evals, p0.Gamma_L, p0.beta_L, p0.mu_L, "left", lift)
+    coh, bath = coherent_terms(Hd), build_rate_operators(aug, p0)
+    before, after = (coh + left, bath) if method == "rcme" else (left, coh + bath)
+    for a in (A3, evals, E, *(f for t in before + after for f in (t.left, t.right))):
+        if a is not None:
+            a.setflags(write=False)
+    return aug.space, before, (A3, evals, lift), after, E
+
+
+def _on_line(p: ModelParams, method: str, M: int) -> Liouvillian:
+    """A generator on its line's bias-free part: only the right lead is built at p.mu_R."""
+    _restricted_space(p, M)   # the M check and the dense guard run on every build
+    space, before, (A3, evals, lift), after, E = _bias_free(p.with_bias(0.0), method, M)
+    right = build_wcme_lead_dissipator(A3, evals, p.Gamma_R, p.beta_R, p.mu_R, "right", lift)
+    return Liouvillian(space=space, terms=before + right + after, method=method, energy_op=E)
+
+
 def assemble_rcme(p: ModelParams, M: int) -> Liouvillian:
     """Non-additive generator: leads filtered at augmented frequencies."""
-    aug = build_augmented_hamiltonian(p, M)
-    Hd = np.diag(aug.evals).astype(complex)
-    A1, A3 = build_lead_coupling_ops(p)
-    terms = (coherent_terms(Hd) + lead_terms(p, aug.evals, aug.lift(A1), aug.lift(A3))
-             + build_rate_operators(aug, p))
-    return Liouvillian(space=aug.space, terms=terms, method="rcme", energy_op=Hd)
+    return _on_line(p, "rcme", M)
 
 
 def assemble_arcme(p: ModelParams, M: int) -> Liouvillian:
@@ -147,12 +180,7 @@ def assemble_arcme(p: ModelParams, M: int) -> Liouvillian:
     mode cannot renormalize the rates.  Energy bookkeeping stays with the
     bare electronic energies.
     """
-    aug = build_augmented_hamiltonian(p, M)
-    Hel = build_system_hamiltonian(p)
-    terms = (lead_terms(p, np.diag(Hel).real, *build_lead_coupling_ops(p), lift=aug.lift)
-             + coherent_terms(np.diag(aug.evals).astype(complex))
-             + build_rate_operators(aug, p))
-    return Liouvillian(space=aug.space, terms=terms, method="arcme", energy_op=aug.lift(Hel))
+    return _on_line(p, "arcme", M)
 
 
 def build_generator(p: ModelParams, method: str, M: int | None = None) -> Liouvillian:
@@ -163,9 +191,7 @@ def build_generator(p: ModelParams, method: str, M: int | None = None) -> Liouvi
         return assemble_wcme(p)
     if M is None:
         raise ValueError(f"method {method!r} needs a Fock truncation M")
-    if method == "rcme":
-        return assemble_rcme(p, M)
-    return assemble_arcme(p, M)
+    return (assemble_rcme if method == "rcme" else assemble_arcme)(p, M)
 
 
 @dataclass

@@ -128,7 +128,7 @@ class Space:
         return X
 
 
-@dataclass
+@dataclass(frozen=True)   # one term may serve every generator built on an RC line
 class TaggedTerm:
     """One factorized superoperator term: rho -> coef * A @ rho @ B.
 

@@ -150,7 +150,8 @@ def _current(p: ModelParams, method: str, M: int | None) -> float:
 
 def stopping_voltage(p: ModelParams, method: str = "wcme", M: int | None = None,
                      tol: float = 1e-8) -> float:
-    """Bias where the mean current reverses, bisected to tol on [0, default_bracket(p)]."""
+    """Bias where the mean current reverses, bisected to tol on [0, default_bracket(p)];
+    every RC build shares the one memo entry of ``rc``, keyed (p.with_bias(0), method, M)."""
     return bisect_root(lambda V: _current(p.with_bias(V), method, M),
                        0.0, default_bracket(p), tol=tol)
 

@@ -15,10 +15,10 @@ elements scaled by the occupied-bath weight (quanta available to absorb) and
 by the complementary weight.  A lead is filtered once, through the operator
 that removes an electron (``fermi_half``); the factors of its adjoint, which
 adds one, are the adjoints of that pair.  A generator is ``coherent_terms`` +
-``lead_terms`` + ``bosonic_dissipator_terms``; ``rc`` makes the same three
-calls on the augmented space of the reaction coordinate, with the residual
-Ohmic bath in place of J (ARCME filters each lead at the bare energies and
-lifts its three removal factors; the adding factors stay their adjoints).
+one ``build_wcme_lead_dissipator`` per lead + ``bosonic_dissipator_terms``; ``rc``
+makes the same calls on the augmented space of the reaction coordinate, with the
+residual Ohmic bath in place of J (ARCME filters each lead at the bare energies
+and lifts its three removal factors; the adding factors stay their adjoints).
 
 Every term carries the bath it came from, and the lead sandwich terms also
 carry the signed number of electrons they move into that lead, so the same
@@ -103,12 +103,6 @@ def build_wcme_lead_dissipator(A_rem: np.ndarray, evals: np.ndarray, Gamma: floa
     ]
 
 
-def lead_terms(p: ModelParams, evals, A1, A3, lift=None) -> list:
-    """Both leads' dissipators; A1 / A3 remove an electron into the left / right lead."""
-    return (build_wcme_lead_dissipator(A1, evals, p.Gamma_L, p.beta_L, p.mu_L, "left", lift)
-            + build_wcme_lead_dissipator(A3, evals, p.Gamma_R, p.beta_R, p.mu_R, "right", lift))
-
-
 def bosonic_dissipator_terms(s, evals, J, slope0: float, beta: float) -> list:
     """-[s, [chi, rho]] + [s, {phi, rho}], factorized; (chi, phi) from ``bose_half``."""
     chi, phi = bose_half(s, evals, J, slope0, beta)
@@ -136,7 +130,10 @@ def assemble_wcme(p: ModelParams) -> Liouvillian:
     H = build_system_hamiltonian(p)
     evals = np.diag(H).real
     slope0 = 2.0 / np.pi * p.lam * p.gamma / p.omega0**2
-    terms = (coherent_terms(H) + lead_terms(p, evals, *build_lead_coupling_ops(p))
+    A1, A3 = build_lead_coupling_ops(p)
+    terms = (coherent_terms(H)
+             + build_wcme_lead_dissipator(A1, evals, p.Gamma_L, p.beta_L, p.mu_L, "left")
+             + build_wcme_lead_dissipator(A3, evals, p.Gamma_R, p.beta_R, p.mu_R, "right")
              + bosonic_dissipator_terms(build_phonon_coupling_op(p), evals,
                                         partial(drude_lorentz, p), slope0, p.beta_ph))
     return Liouvillian(space=Space(sector_labels(p, 1)), terms=terms, method="wcme",

@@ -293,6 +293,9 @@ def test_bad_invocations_exit_2(tmp_path, capsys):
     assert main(bias + ["--rc-levels", "0"]) == 2
     assert main(["--method", "rcme", "--regime", "2", "--sweep", "M",
                  "--from", "0", "--to", "8", "--points", "2"]) == 2
+    assert main(["--method", "rcme", "--regime", "2", "--sweep", "M",
+                 "--from", "4", "--to", "5", "--points", "4"]) == 2   # M = 4, 4.33, 4.67, 5
+    assert "distinct integers" in capsys.readouterr().err
     ini = tmp_path / "ladder.ini"
     ini.write_text("[rc]\nauto = true\nstart = 12\ncap = 8\n")
     assert main([str(ini)] + bias) == 2

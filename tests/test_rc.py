@@ -2,7 +2,7 @@
 import itertools
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -22,7 +22,7 @@ from nanojunction.rc import (
 )
 from nanojunction.superop import _CHUNK_BYTES, ConvergenceFailure, steady_state
 from nanojunction.fcs import mean_current
-from nanojunction.thermo import converge_report
+from nanojunction.thermo import converge_report, stopping_voltage
 from nanojunction.wcme import assemble_wcme
 from reference import augmented_hamiltonian, dense
 
@@ -288,6 +288,76 @@ def test_memory_guard_stops_the_ladder_after_the_largest_admitted_cutoff(
     with pytest.raises(ConvergenceFailure, match=f"restricted dimension {n_next} exceeds"):
         build_augmented_hamiltonian(p, M + 1)
     assert built == []
+
+
+@pytest.mark.parametrize("method", ["rcme", "arcme"])
+@pytest.mark.parametrize("U", [math.inf, 0.8])
+def test_warm_build_equals_cold_build(method, U):
+    """A build on a warm line (the memo holds its bias-free part) has the
+    bordered buffer and energy operator, bit for bit, of a cold build."""
+    p, M = regime_params(1, lam=30.0, U=U), 6
+    biases = (0.0, 0.4, 1.7)
+    cold = []
+    for V in biases:
+        rc_mod._bias_free.cache_clear()
+        cold.append(build_generator(p.with_bias(V), method, M))
+    rc_mod._bias_free.cache_clear()
+    build_generator(p.with_bias(-0.3), method, M)   # fills the memo with this line
+    for V, L in zip(biases, cold):
+        warm = build_generator(p.with_bias(V), method, M)
+        assert np.array_equal(warm._bordered, L._bordered)
+        assert np.array_equal(warm.energy_op, L.energy_op)
+    info = rc_mod._bias_free.cache_info()
+    assert (info.hits, info.misses) == (3, 1)
+
+
+def test_a_stopping_voltage_builds_h_prime_once(monkeypatch):
+    """The 32 bisection builds of one stopping voltage diagonalize H' once,
+    and V_s is the one computed with the memo cleared before every build."""
+    p, M = regime_params(1, lam=3.0), 6
+    augmented, builds = [], []
+    augment, rcme = rc_mod.build_augmented_hamiltonian, rc_mod.assemble_rcme
+    monkeypatch.setattr(rc_mod, "build_augmented_hamiltonian",
+                        lambda *args: augmented.append(args) or augment(*args))
+    monkeypatch.setattr(rc_mod, "assemble_rcme",
+                        lambda *args: builds.append(args) or rcme(*args))
+    V_s = stopping_voltage(p, "rcme", M=M)
+    assert (len(builds), len(augmented)) == (32, 1)
+
+    def cold(*args):
+        rc_mod._bias_free.cache_clear()
+        return rcme(*args)
+
+    monkeypatch.setattr(rc_mod, "assemble_rcme", cold)
+    assert stopping_voltage(p, "rcme", M=M) == V_s
+    assert len(augmented) == 1 + 32
+
+
+@pytest.mark.parametrize("build", [assemble_rcme, assemble_arcme])
+def test_m_check_and_dense_guard_run_ahead_of_the_memo(monkeypatch, build):
+    """M = 10.0 equals the memo's M = 10, and the guard may be lowered after
+    a build: both still raise on a warm line."""
+    p = regime_params(1)
+    build(p, 10)
+    with pytest.raises(ValueError, match="M must be an integer of at least 1"):
+        build(p.with_bias(0.3), 10.0)
+    monkeypatch.setattr(rc_mod, "MAX_RESTRICTED_DIM", 100)
+    with pytest.raises(ConvergenceFailure, match="exceeds the dense-solver guard"):
+        build(p, 10)
+
+
+@pytest.mark.parametrize("method", ["rcme", "arcme"])
+def test_memoized_arrays_are_read_only(method):
+    """An in-place write into a factor the memo keeps, or into the energy
+    operator, raises instead of corrupting the next build on the line, and
+    so does setting a field of a term (terms are frozen)."""
+    L = build_generator(regime_params(1), method, 6)
+    kept = [f for t in L.terms if t.bath != "right" for f in (t.left, t.right) if f is not None]
+    for a in kept + [L.energy_op]:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] += 1.0
+    with pytest.raises(FrozenInstanceError):
+        L.terms[0].coef = 2.0
 
 
 @pytest.mark.parametrize("M", [14, 22])

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -332,7 +333,7 @@ def test_non_finite_solve_is_a_convergence_failure():
     failure, not a degenerate stationary space."""
     down = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     terms = _lindblad_terms(down) + _lindblad_terms(down.T)
-    terms[0].coef = np.nan
+    terms[0] = replace(terms[0], coef=np.nan)
     L = Liouvillian(space=Space(np.zeros(2)), terms=terms)
     with pytest.raises(ConvergenceFailure, match="non-finite"):
         steady_state(L)

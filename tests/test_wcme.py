@@ -244,19 +244,24 @@ def test_lead_dissipator_stays_trace_preserving_under_a_compressing_lift():
 
 
 def test_arcme_lifts_each_lead_removal_factor_once_and_adds_by_adjoint(monkeypatch):
-    """ARCME lifts A_rem, rem_chi and rem_phi of each lead, plus its energy
-    operator: 7 lifts.  The adding factors are exact adjoints of the lifted
-    removal factors, since W^dag (X^dag kron 1) W = (W^dag (X kron 1) W)^dag."""
+    """On a line's first build (the memo cleared), ARCME lifts A_rem, rem_chi
+    and rem_phi of each lead, plus its energy operator: 7 lifts (RCME lifts
+    A1 and A3: 2).  A second bias on the same line lifts only the right
+    lead's three factors (RCME: none).  The adding factors are exact
+    adjoints of the lifted removal factors, since
+    W^dag (X^dag kron 1) W = (W^dag (X kron 1) W)^dag."""
     calls = []
     lift = rc.AugmentedSystem.lift
     monkeypatch.setattr(rc.AugmentedSystem, "lift",
                         lambda self, A: calls.append(1) or lift(self, A))
     p, M = regime_params(2, lam=30.0, U=0.8), 6
-    rc.assemble_rcme(p, M)
-    assert len(calls) == 2
-    calls.clear()
-    L = rc.assemble_arcme(p, M)
-    assert len(calls) == 7
+    counts = []
+    for build in (rc.assemble_rcme, rc.assemble_arcme):
+        for V in (1.3, p.V):   # the line's first build, then a second bias on it
+            calls.clear()
+            L = build(p.with_bias(V), M)
+            counts.append(len(calls))
+    assert counts == [2, 0, 7, 3]
 
     aug = rc.build_augmented_hamiltonian(p, M)
     evals = np.diag(build_system_hamiltonian(p)).real
